@@ -8,8 +8,9 @@
 //! energy, slowest tile for the concurrent-hardware makespan).
 //!
 //! The thread fan-out itself is the dependency-free
-//! [`softmap_par`] scheduler, re-exported here so tile-level callers
-//! have one import.
+//! [`softmap_par`] scheduler, re-exported here (with its
+//! [`env_knob`] parser, which every `SOFTMAP_*` knob reads through)
+//! so tile-level callers have one import.
 //!
 //! # Examples
 //!
@@ -21,7 +22,7 @@
 //! ```
 
 pub use softmap_par::{
-    fan_out_with, parallel_map, parallel_map_with, tile_parallelism, try_parallel_map,
+    env_knob, fan_out_with, parallel_map, parallel_map_with, tile_parallelism, try_parallel_map,
     try_parallel_map_with,
 };
 

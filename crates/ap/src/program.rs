@@ -950,19 +950,13 @@ pub fn parse_strip(raw: &str) -> Option<Option<usize>> {
 /// default.
 #[must_use]
 pub fn strip_from_env() -> Option<usize> {
-    let Ok(raw) = std::env::var(STRIP_ENV) else {
-        return None;
-    };
-    parse_strip(&raw).unwrap_or_else(|| {
-        static WARN: std::sync::Once = std::sync::Once::new();
-        WARN.call_once(|| {
-            eprintln!(
-                "softmap: invalid {STRIP_ENV}={raw:?}; accepted values are auto or a \
-                 positive strip width in 64-row blocks (e.g. 8) — keeping the default (auto)"
-            );
-        });
-        None
-    })
+    softmap_par::env_knob(
+        STRIP_ENV,
+        "auto or a positive strip width in 64-row blocks (e.g. 8)",
+        "keeping the default (auto)",
+        parse_strip,
+    )
+    .flatten()
 }
 
 /// Aggregate statistics of a program's region-blocking plan (see

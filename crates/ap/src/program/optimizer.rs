@@ -95,20 +95,13 @@ impl OptLevel {
     /// `SOFTMAP_OPT=ful` cannot silently benchmark the wrong level.
     #[must_use]
     pub fn from_env() -> Self {
-        let Ok(raw) = std::env::var(Self::ENV) else {
-            return Self::default();
-        };
-        Self::parse(&raw).unwrap_or_else(|| {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {}={raw:?}; accepted values are \
-                     none/0, basic/1, full/2 — keeping the default (full)",
-                    Self::ENV
-                );
-            });
-            Self::default()
-        })
+        softmap_par::env_knob(
+            Self::ENV,
+            "none/0, basic/1, full/2",
+            "keeping the default (full)",
+            Self::parse,
+        )
+        .unwrap_or_default()
     }
 
     /// The optimization ladder in ascending aggressiveness. Every

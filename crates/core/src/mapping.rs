@@ -23,11 +23,11 @@
 use std::sync::Arc;
 
 use softmap_ap::batch::{self, BatchStats};
-use softmap_ap::device::{self, DeviceConfig};
+use softmap_ap::device::DeviceConfig;
 use softmap_ap::program::{optimizer, ExecIo, ProgramScratch, Recorder};
 use softmap_ap::{
     ApConfig, ApCore, ApError, ApProgram, ApTile, CycleStats, DivStyle, ExecBackend, Field,
-    OptLevel, Overflow, PassReport, RegId,
+    OptLevel, Overflow, RegId,
 };
 use softmap_softmax::{IntSoftmax, PrecisionConfig, SumMode};
 
@@ -38,6 +38,8 @@ use crate::CoreError;
 
 pub(crate) mod autotune;
 pub(crate) mod fanout;
+
+use fanout::{ShardExec, ShardPool};
 
 pub use autotune::AUTOTUNE_ENV;
 
@@ -173,28 +175,6 @@ pub struct ApSoftmax {
 /// default.
 pub const RESIDENT_ENV: &str = "SOFTMAP_RESIDENT";
 
-/// Reads [`RESIDENT_ENV`]; invalid values fail loudly (one warning per
-/// process) instead of silently falling back.
-fn resident_from_env() -> bool {
-    let Ok(raw) = std::env::var(RESIDENT_ENV) else {
-        return true;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "false" => false,
-        "1" | "true" => true,
-        _ => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {RESIDENT_ENV}={raw:?}; accepted values are \
-                     0/false/1/true — keeping the default (1)"
-                );
-            });
-            true
-        }
-    }
-}
-
 /// Environment variable enabling/disabling region-blocked strip-mined
 /// FastWord execution: `0`/`false` forces the op-by-op replay path,
 /// `1`/`true` (the default) attaches a region-blocking plan to every
@@ -203,26 +183,15 @@ fn resident_from_env() -> bool {
 /// keep the default.
 pub const BLOCKED_ENV: &str = "SOFTMAP_BLOCKED";
 
-/// Reads [`BLOCKED_ENV`]; invalid values fail loudly (one warning per
-/// process) instead of silently falling back.
-fn blocked_from_env() -> bool {
-    let Ok(raw) = std::env::var(BLOCKED_ENV) else {
-        return true;
+/// Reads a boolean knob (`0`/`false` or `1`/`true`, default on);
+/// invalid values warn once and keep the default.
+fn flag_knob(name: &'static str) -> bool {
+    let parse = |raw: &str| match raw.trim().to_ascii_lowercase().as_str() {
+        "0" | "false" => Some(false),
+        "1" | "true" => Some(true),
+        _ => None,
     };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "false" => false,
-        "1" | "true" => true,
-        _ => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {BLOCKED_ENV}={raw:?}; accepted values are \
-                     0/false/1/true — keeping the default (1)"
-                );
-            });
-            true
-        }
-    }
+    batch::env_knob(name, "0/false/1/true", "keeping the default (1)", parse).unwrap_or(true)
 }
 
 /// Aggregate plan-cache counters surfaced as one struct; see
@@ -341,34 +310,13 @@ pub struct TileState {
     half0: Vec<u64>,
     half1: Vec<u64>,
     scratch: ProgramScratch,
-    shard: ShardScratch,
+    shard: ShardPool,
     plan: Option<PlanSlot>,
 }
 
 /// The tile-local cached-plan slot: (cache identity token, shape key,
 /// plan — whole-vector program or sharded vector plan).
 type PlanSlot = ((u64, u64), PlanKey, CachedPlan);
-
-/// Reusable per-worker buffers for sharded execution: the shard
-/// partition, the per-shard scalars exchanged over the reduction
-/// network, the per-shard per-phase cycle counts the wave scheduler
-/// consumes, and the scheduler's tile-load scratch. All capacities
-/// persist across vectors, so steady-state sharded execution performs
-/// zero heap allocations.
-#[derive(Debug, Clone, Default)]
-struct ShardScratch {
-    ranges: Vec<(usize, usize)>,
-    minima: Vec<u64>,
-    partials: Vec<u64>,
-    phase_cycles: [Vec<u64>; 3],
-    loads: Vec<u64>,
-    /// Persistent tile-per-shard pool for resident execution: shard
-    /// `i` owns `tiles[i]` for the vector's lifetime, so neither the
-    /// simulated arenas nor the host-side staging buffers are
-    /// rewritten between phases. The pool only grows (never shrinks),
-    /// keeping steady-state resident execution zero-alloc.
-    tiles: Vec<ApTile>,
-}
 
 impl TileState {
     /// Creates an empty state (buffers grow on first use).
@@ -425,10 +373,9 @@ thread_local! {
         std::cell::RefCell::new(TileState::new());
 }
 
-/// The per-half fields of the exponential sub-dataflow (steps 1–13) —
-/// shared between the whole-vector program and the sharded exp phase.
+/// One half-vector's fields in the whole-vector layout.
 #[derive(Clone, Copy)]
-struct ExpFields {
+struct HalfFields {
     /// Working value: |code|, then `neg_vstable`, then `r`.
     x: Field,
     /// Barrett quotient.
@@ -439,83 +386,114 @@ struct ExpFields {
     t: Field,
     /// `v_approx`.
     vapprox: Field,
-}
-
-/// Whole-vector per-half fields: the exp sub-dataflow plus the final
-/// result (the paper's `R` column, `2M + 12` bits). Also the per-half
-/// layout of the resident shard phases, which allocate the *union*
-/// geometry in every phase so column ranges line up across phase
-/// boundaries (the residency contract).
-#[derive(Clone, Copy)]
-struct HalfFields {
-    exp: ExpFields,
+    /// The result (the paper's `R` column, `2M + 12` bits).
     res: Field,
 }
 
-/// Accumulates one step's cost into the named entry of `steps`
-/// (appending on first sight). Per-program step names are unique, so
-/// the whole-vector path degenerates to a plain push; sharded runs
-/// merge the per-shard repetitions of each phase step into one entry.
-fn accumulate_step(steps: &mut Vec<StepStats>, name: &'static str, stats: CycleStats) {
-    if let Some(s) = steps.iter_mut().find(|s| s.name == name) {
-        s.stats.accumulate(&stats);
-    } else {
-        steps.push(StepStats { name, stats });
+/// Which fields of the whole-vector layout a program allocates, named
+/// as in [`HalfFields`] and [`TileFields`]. Fields are always allocated
+/// in one order — per half `x`, `q`, `work`, `t`, `vapprox`, `res`,
+/// then the shared `op`, `sumw`, `den`, `minf` — so a set's columns are
+/// a pure function of the set.
+#[derive(Clone, Copy)]
+struct FieldSet {
+    x: bool,
+    q: bool,
+    work: bool,
+    t: bool,
+    vapprox: bool,
+    res: bool,
+    op: bool,
+    sumw: bool,
+    den: bool,
+    minf: bool,
+}
+
+impl FieldSet {
+    /// The whole-vector dataflow's layout.
+    const WHOLE: Self = Self {
+        x: true,
+        q: true,
+        work: true,
+        t: true,
+        vapprox: true,
+        res: true,
+        op: true,
+        sumw: true,
+        den: true,
+        minf: true,
+    };
+
+    /// The geometry of a shard phase. Resident phases all allocate the
+    /// whole-vector (union) layout, so a column range means the same
+    /// plane in every phase and planes one phase writes are readable by
+    /// the next (the residency contract in `softmap_ap::program`).
+    /// Re-staged phases allocate only the fields they touch.
+    fn shard(phase: PlanPhase, resident: bool) -> Self {
+        let none = Self {
+            x: false,
+            q: false,
+            work: false,
+            t: false,
+            vapprox: false,
+            res: false,
+            op: false,
+            sumw: false,
+            den: false,
+            minf: false,
+        };
+        match phase {
+            PlanPhase::Vector => unreachable!("the whole-vector dataflow is not a shard phase"),
+            _ if resident => Self::WHOLE,
+            // The scores, searched for their minimum.
+            PlanPhase::ShardMin => Self { x: true, ..none },
+            // Everything but the result: stabilize, exp, partial sum.
+            PlanPhase::ShardExp => Self {
+                res: false,
+                ..Self::WHOLE
+            },
+            // `v_approx` divided by the broadcast divisor into `res`.
+            PlanPhase::ShardDiv => Self {
+                vapprox: true,
+                res: true,
+                den: true,
+                ..none
+            },
+        }
     }
 }
 
-/// Whether shard `i` is a *follower*: every shard after the first
-/// occurrence of its shape shares that leader's device-wide drivers.
-/// On the re-staging path followers ride the broadcast of
-/// shard-invariant operands for free
-/// ([`ApProgram::replay_resident`]); on the resident path they
-/// execute the whole phase in SIMD lockstep and are charged only
-/// their input staging ([`ApProgram::replay_lockstep`]). Leaders pay
-/// full price (their recording execution anchors the phase program's
-/// cost). The rule is a pure function of the partition, so
-/// compile-time totals and replay totals agree.
-fn shard_follower(ranges: &[(usize, usize)], i: usize) -> bool {
-    let len = ranges[i].1 - ranges[i].0;
-    ranges[..i].iter().any(|&(s, e)| e - s == len)
+/// The fields [`ApSoftmax::alloc_fields`] allocated for a [`FieldSet`];
+/// fields outside the set are empty and never addressed.
+#[derive(Clone, Copy)]
+struct TileFields {
+    halves: [HalfFields; 2],
+    op: Field,
+    sumw: Field,
+    den: Field,
+    minf: Field,
+    /// One past the last allocated column.
+    end: usize,
 }
 
-/// How one shard's phase program replays: full price (leaders), the
-/// hoisted-broadcast discount (re-staged followers), or the
-/// wave-lockstep discount (resident followers).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PhaseReplay {
-    Full,
-    Hoisted,
-    Lockstep,
-}
-
-/// Replay pricing for shard `i` of a partition under a residency mode.
-fn phase_replay(ranges: &[(usize, usize)], i: usize, resident: bool) -> PhaseReplay {
-    match (shard_follower(ranges, i), resident) {
-        (false, _) => PhaseReplay::Full,
-        (true, false) => PhaseReplay::Hoisted,
-        (true, true) => PhaseReplay::Lockstep,
+/// Packs the |code| magnitudes of `codes` into one half-vector buffer
+/// per row word under `layout` (the sign is implicit in the paper's
+/// non-positive input convention). Returns the number of halves and
+/// the rows they occupy.
+fn stage_halves(
+    codes: &[i64],
+    layout: Layout,
+    half0: &mut Vec<u64>,
+    half1: &mut Vec<u64>,
+) -> (usize, usize) {
+    let (packed, rows) = ApSoftmax::packing_of(layout, codes.len());
+    half0.clear();
+    half0.extend(codes[..rows].iter().map(|&c| c.unsigned_abs()));
+    half1.clear();
+    if packed {
+        half1.extend(codes[rows..].iter().map(|&c| c.unsigned_abs()));
     }
-}
-
-/// How one sharded pass executes each shard's phase program.
-enum ShardExec<'a> {
-    /// Issue every op directly (no cache, no recording) — the
-    /// differential-testing baseline.
-    Direct,
-    /// Replay the cached sharded plan's phase programs.
-    Replay(&'a ShardedPlan),
-    /// Get-or-record each shard shape's phase program while executing,
-    /// collecting the `Arc`s for the sharded plan under construction.
-    Compile(&'a mut ShardPlanBuilder),
-}
-
-/// Phase-program `Arc`s collected while compiling a sharded plan.
-#[derive(Default)]
-struct ShardPlanBuilder {
-    min_plans: Vec<Arc<CompiledPlan>>,
-    exp_plans: Vec<Arc<CompiledPlan>>,
-    div_plans: Vec<Arc<CompiledPlan>>,
+    (1 + usize::from(packed), rows)
 }
 
 impl ApSoftmax {
@@ -535,9 +513,9 @@ impl ApSoftmax {
             plan_mode: PlanMode::default(),
             opt_level: OptLevel::from_env(),
             device: DeviceConfig::default(),
-            resident: resident_from_env(),
-            blocked: blocked_from_env(),
-            autotune: autotune::autotune_from_env(),
+            resident: flag_knob(RESIDENT_ENV),
+            blocked: flag_knob(BLOCKED_ENV),
+            autotune: flag_knob(AUTOTUNE_ENV),
             layout_pinned: false,
             partition_override: None,
             plans: Arc::new(PlanCache::new()),
@@ -939,7 +917,7 @@ impl ApSoftmax {
         codes: &[i64],
         run: &mut ApSoftmaxRun,
     ) -> Result<(), CoreError> {
-        self.execute_codes_mode(state, codes, run, self.plan_mode)
+        self.execute_codes_mode(state, codes, run, self.plan_mode, 1)
     }
 
     /// Words per row of the selected layout.
@@ -964,16 +942,19 @@ impl ApSoftmax {
         (packed, if packed { len / 2 } else { len })
     }
 
-    /// The shared entry point: routes through the capacity-bounded
-    /// device — a vector that fits one tile packs into half-vectors and
-    /// replays (or directly issues) the whole-vector dataflow; a longer
-    /// vector executes **sharded** across the tile grid.
+    /// The shared entry point. Cached mode resolves the shape's plan
+    /// through [`ApSoftmax::execute_cached`] (searching candidate
+    /// mappings first when autotuning); a vector that fits one tile
+    /// runs the whole-vector dataflow, a longer one executes **sharded**
+    /// across the tile grid — fanned across up to `threads` host threads
+    /// on cached replay.
     fn execute_codes_mode(
         &self,
         state: &mut TileState,
         codes: &[i64],
         run: &mut ApSoftmaxRun,
         mode: PlanMode,
+        threads: usize,
     ) -> Result<(), CoreError> {
         if codes.is_empty() {
             return Err(CoreError::EmptyInput);
@@ -982,146 +963,281 @@ impl ApSoftmax {
         // no full trace).
         self.sm.validate_codes(codes)?;
         if mode == PlanMode::Cached && self.autotune {
-            return self.execute_autotuned(state, codes, run);
+            let key = self.tuned_key(codes.len());
+            // The search scores candidates on throwaway tiles: the winner
+            // replays on this one once the compile lock is released.
+            return self.execute_cached(state, codes, run, key, threads, |_, _| {
+                let tuned = self.search_mappings(codes)?;
+                self.plans
+                    .note_autotune(tuned.scores.len() as u64, tuned.improved());
+                Ok((CachedPlan::Tuned(tuned), false))
+            });
         }
-        let (packed, rows) = self.packing(codes.len());
+        let (_, rows) = self.packing(codes.len());
         if rows > self.device.rows_per_tile {
-            return self.execute_sharded(state, codes, run, mode);
+            return self.execute_sharded(state, codes, run, mode, threads);
         }
-        let total_len = codes.len();
-        // Pack the |code| magnitudes of each half-vector (the sign is
-        // implicit in the paper's non-positive input convention).
-        state.half0.clear();
-        state
-            .half0
-            .extend(codes[..rows].iter().map(|&c| c.unsigned_abs()));
-        state.half1.clear();
-        if packed {
-            state
-                .half1
-                .extend(codes[rows..].iter().map(|&c| c.unsigned_abs()));
+        if mode == PlanMode::DirectIssue {
+            return self
+                .execute_whole(state, codes, run, self.layout, None, false)
+                .map(drop);
         }
+        let key = self.plan_key(codes.len(), PlanPhase::Vector, false);
+        self.execute_cached(state, codes, run, key, threads, |state, run| {
+            let plan = self.execute_whole(state, codes, run, self.layout, None, true)?;
+            let plan = plan.expect("compiling returns a plan");
+            Ok((CachedPlan::Program(Arc::new(plan)), true))
+        })
+    }
+
+    /// Resolves the cache entry `key` and executes `codes` with it: the
+    /// lock-free tile slot first, then the shared cache, then — under
+    /// the compile lock, re-checked so workers racing on the same fresh
+    /// shape converge on one plan — `compile`, which builds the entry
+    /// and reports whether it already executed this vector. Otherwise
+    /// the resolved entry replays, outside the lock.
+    fn execute_cached(
+        &self,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+        key: PlanKey,
+        threads: usize,
+        compile: impl FnOnce(&mut TileState, &mut ApSoftmaxRun) -> Result<(CachedPlan, bool), CoreError>,
+    ) -> Result<(), CoreError> {
+        let token = self.plans.slot_token();
+        // The slot's entry moves out for the replay and back after it,
+        // so a hit touches no shared reference count.
+        let (entry, executed) = match state.plan.take() {
+            Some((slot_token, slot_key, entry)) if (slot_token, slot_key) == (token, key) => {
+                self.plans.note_hit();
+                (entry, false)
+            }
+            slot => {
+                state.plan = slot;
+                match self.plans.get(&key) {
+                    Some(entry) => (entry, false),
+                    None => {
+                        let _compiling = self.plans.lock_for_compile();
+                        match self.plans.get(&key) {
+                            Some(entry) => (entry, false),
+                            None => {
+                                let (entry, executed) = compile(state, run)?;
+                                self.plans.insert(key, entry.clone());
+                                (entry, executed)
+                            }
+                        }
+                    }
+                }
+            }
+        };
+        let result = if executed {
+            Ok(())
+        } else {
+            self.replay_entry(&entry, self.layout, state, codes, run, threads)
+        };
+        // Stamp the slot with the token captured before the lookup: a
+        // clear_plans() racing in after an insert must still invalidate
+        // this slot on its next vector.
+        state.plan = Some((token, key, entry));
+        result
+    }
+
+    /// Replays a cache entry: a whole-vector program or a sharded plan,
+    /// staged under `layout`; a tuned entry replays its winner under
+    /// the winner's layout. Zero-alloc in steady state.
+    fn replay_entry(
+        &self,
+        entry: &CachedPlan,
+        layout: Layout,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+        threads: usize,
+    ) -> Result<(), CoreError> {
+        match entry {
+            CachedPlan::Program(plan) => self
+                .execute_whole(state, codes, run, layout, Some(plan), false)
+                .map(drop),
+            CachedPlan::Sharded(plan) => {
+                let exec = ShardExec::Replay(plan);
+                let ranges = &plan.ranges;
+                self.run_sharded(
+                    state,
+                    codes,
+                    run,
+                    ranges,
+                    exec,
+                    plan.resident,
+                    layout,
+                    threads,
+                )
+            }
+            CachedPlan::Tuned(t) => {
+                self.replay_entry(&t.plan, t.choice.layout, state, codes, run, threads)
+            }
+        }
+    }
+
+    /// Executes a vector that fits one tile under `layout` on the
+    /// state's tile: replays `plan` when given, else issues the
+    /// dataflow directly — and, with `compile`, records it into a plan
+    /// (optimized, recosted when the optimizer rewrote the trace, and
+    /// region-blocked).
+    fn execute_whole(
+        &self,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+        layout: Layout,
+        plan: Option<&CompiledPlan>,
+        compile: bool,
+    ) -> Result<Option<CompiledPlan>, CoreError> {
+        let (halves, rows) = stage_halves(codes, layout, &mut state.half0, &mut state.half1);
         let TileState {
             tile,
             half0,
             half1,
             scratch,
-            plan: plan_slot,
             ..
         } = state;
-        let halves_arr: [&[u64]; 2] = [half0.as_slice(), half1.as_slice()];
-        let halves = if packed {
-            &halves_arr[..]
-        } else {
-            &halves_arr[..1]
-        };
-
-        if mode == PlanMode::DirectIssue {
-            self.issue_once(tile, scratch, halves, rows, total_len, run, false)?;
-            return Ok(());
+        let halves = &[half0.as_slice(), half1.as_slice()][..halves];
+        if let Some(plan) = plan {
+            self.replay_plan(plan, tile, scratch, halves, codes.len(), run)?;
+            return Ok(None);
         }
-
-        let key = PlanKey {
-            len: total_len,
-            layout: self.layout,
-            div: self.div_style,
-            opt: self.opt_level,
-            phase: PlanPhase::Vector,
-            resident: false,
-            tuned: false,
-        };
-        let token = self.plans.slot_token();
-        if let Some((slot_token, slot_key, CachedPlan::Program(plan))) = plan_slot.as_ref() {
-            if *slot_token == token && *slot_key == key {
-                self.plans.note_hit();
-                let plan = Arc::clone(plan);
-                return self.replay_plan(&plan, tile, scratch, halves, total_len, run);
-            }
-        }
-        if let Some(CachedPlan::Program(plan)) = self.plans.get(&key) {
-            *plan_slot = Some((token, key, CachedPlan::Program(Arc::clone(&plan))));
-            return self.replay_plan(&plan, tile, scratch, halves, total_len, run);
-        }
-        // Cache miss: take the compile lock and re-check, so workers
-        // racing on the same fresh shape converge on one plan (one
-        // compile per batch, not one per worker).
-        let compile_guard = self.plans.lock_for_compile();
-        if let Some(CachedPlan::Program(plan)) = self.plans.get(&key) {
-            drop(compile_guard);
-            *plan_slot = Some((token, key, CachedPlan::Program(Arc::clone(&plan))));
-            return self.replay_plan(&plan, tile, scratch, halves, total_len, run);
-        }
-        // Still missing: record the trace while executing this vector.
         let started = std::time::Instant::now();
-        let (mut program, sum_reg) = self
-            .issue_once(tile, scratch, halves, rows, total_len, run, true)?
-            .expect("recording execution returns a program");
+        let Some((mut program, sum_reg)) =
+            self.issue_once(tile, scratch, halves, rows, codes.len(), run, compile)?
+        else {
+            return Ok(None);
+        };
         let report = optimizer::optimize(&mut program, self.opt_level);
         if report.changed() {
             // The pass pipeline rewrote the trace and invalidated the
             // recorded costs: one recost execution charges the fused
             // schedule and overwrites this vector's run with it.
-            self.recost_whole(&mut program, sum_reg, tile, scratch, halves, total_len, run)?;
+            self.recost_whole(
+                &mut program,
+                sum_reg,
+                tile,
+                scratch,
+                halves,
+                codes.len(),
+                run,
+            )?;
         }
         self.apply_blocking(&mut program);
-        let plan = Arc::new(CompiledPlan::new(
-            program,
-            sum_reg,
-            run.rows,
-            run.cols_used,
-            report,
-            started.elapsed().as_secs_f64() * 1e6,
-        ));
-        self.plans
-            .insert(key, CachedPlan::Program(Arc::clone(&plan)));
-        drop(compile_guard);
-        // Stamp the slot with the token captured before the lookup: a
-        // clear_plans() racing in after the insert must still
-        // invalidate this slot on its next vector.
-        *plan_slot = Some((token, key, CachedPlan::Program(plan)));
-        Ok(())
+        let micros = started.elapsed().as_secs_f64() * 1e6;
+        let (rows, cols) = (run.rows, run.cols_used);
+        Ok(Some(CompiledPlan::new(
+            program, sum_reg, rows, cols, report, micros,
+        )))
     }
 
     fn cfg(&self) -> &PrecisionConfig {
         self.sm.config()
     }
 
-    /// Column budget for one half-vector's fields.
-    fn half_width(&self) -> usize {
-        let m = self.cfg().m as usize;
-        let w = self.sm.widths();
-        let work = (3 * m + 2).max(w.poly as usize + 1);
-        m + w.q as usize + work + m + w.vapprox as usize + w.result as usize
+    /// Width of the reduction sum (and the broadcast divisor).
+    fn sum_bits(&self) -> u32 {
+        self.sm.constants().effective_sum_bits(self.cfg())
     }
 
-    /// Column budget of one half-vector's exp-phase fields (the
-    /// whole-vector budget minus the result column).
-    fn exp_half_width(&self) -> usize {
+    /// Acquires `tile` (or, with `rearm`, re-arms it keeping its cells)
+    /// at the geometry of `set` over `halves` half-vectors of `rows`
+    /// rows, and allocates the set's fields in layout order. The columns
+    /// are the reserved carry/flag pair, the fields, and scratch
+    /// headroom.
+    fn alloc_fields<'t>(
+        &self,
+        tile: &'t mut ApTile,
+        set: FieldSet,
+        halves: usize,
+        rows: usize,
+        rearm: bool,
+    ) -> Result<(&'t mut ApCore, TileFields), CoreError> {
         let m = self.cfg().m as usize;
         let w = self.sm.widths();
-        let work = (3 * m + 2).max(w.poly as usize + 1);
-        m + w.q as usize + work + m + w.vapprox as usize
-    }
-
-    fn alloc_exp_half(&self, ap: &mut ApCore) -> Result<ExpFields, CoreError> {
-        let m = self.cfg().m as usize;
-        let w = self.sm.widths();
+        let (vapprox_w, result_w) = (w.vapprox as usize, w.result as usize);
+        let sum_bits = self.sum_bits() as usize;
         let work_w = (3 * m + 2).max(w.poly as usize + 1);
-        Ok(ExpFields {
-            x: ap.alloc_field(m)?,
-            q: ap.alloc_field(w.q as usize)?,
-            work: ap.alloc_field(work_w)?,
-            t: ap.alloc_field(m)?,
-            vapprox: ap.alloc_field(w.vapprox as usize)?,
-        })
-    }
-
-    fn alloc_half(&self, ap: &mut ApCore) -> Result<HalfFields, CoreError> {
-        let w = self.sm.widths();
-        Ok(HalfFields {
-            exp: self.alloc_exp_half(ap)?,
-            res: ap.alloc_field(w.result as usize)?,
-        })
+        // (allocated, width) per field, in allocation order.
+        let half = [
+            (set.x, m),
+            (set.q, w.q as usize),
+            (set.work, work_w),
+            (set.t, m),
+            (set.vapprox, vapprox_w),
+            (set.res, result_w),
+        ];
+        let shared = [
+            (set.op, 2 * m + 1),
+            (set.sumw, sum_bits),
+            (set.den, sum_bits),
+            (set.minf, m),
+        ];
+        let width = |fields: &[(bool, usize)]| -> usize {
+            fields.iter().filter(|f| f.0).map(|f| f.1).sum()
+        };
+        // Scratch headroom: the tree reduction's pair sum plus carry
+        // when the set reduces (holds `sumw`); that plus the divider's
+        // scratch when it divides (holds `res`).
+        let reduce_headroom = sum_bits + 2;
+        let divide_headroom = reduce_headroom + 2 * (result_w + vapprox_w + 2);
+        let cols = 2
+            + halves * width(&half)
+            + width(&shared)
+            + if set.sumw { reduce_headroom } else { 0 }
+            + if set.res { divide_headroom } else { 0 };
+        let config = ApConfig::new(rows, cols);
+        let ap = if rearm {
+            tile.rearm_resident(config, self.backend)?
+        } else {
+            tile.acquire(config, self.backend)?
+        };
+        let mut end = 0;
+        let mut alloc = |(on, width): (bool, usize)| -> Result<Field, ApError> {
+            if !on {
+                return Ok(Field::new(0, 0));
+            }
+            let f = ap.alloc_field(width)?;
+            end = f.end();
+            Ok(f)
+        };
+        let empty = Field::new(0, 0);
+        let mut fields = [HalfFields {
+            x: empty,
+            q: empty,
+            work: empty,
+            t: empty,
+            vapprox: empty,
+            res: empty,
+        }; 2];
+        let [x, q, work, t, vapprox, res] = half;
+        for h in fields.iter_mut().take(halves) {
+            *h = HalfFields {
+                x: alloc(x)?,
+                q: alloc(q)?,
+                work: alloc(work)?,
+                t: alloc(t)?,
+                vapprox: alloc(vapprox)?,
+                res: alloc(res)?,
+            };
+        }
+        let [op, sumw, den, minf] = shared;
+        let (op, sumw, den, minf) = (alloc(op)?, alloc(sumw)?, alloc(den)?, alloc(minf)?);
+        Ok((
+            ap,
+            TileFields {
+                halves: fields,
+                op,
+                sumw,
+                den,
+                minf,
+                end,
+            },
+        ))
     }
 
     fn overflow_mode(&self) -> Overflow {
@@ -1148,29 +1264,7 @@ impl ApSoftmax {
         run: &mut ApSoftmaxRun,
         record: bool,
     ) -> Result<Option<(softmap_ap::ApProgram, RegId)>, CoreError> {
-        let m = self.cfg().m as usize;
-        let w = *self.sm.widths();
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-
-        // Tile geometry: per-half fields + shared operand/sum/divisor
-        // fields + reserved carry/flag + scratch headroom for division.
-        let shared = (2 * m + 1) + sum_bits + sum_bits + m;
-        let scratch_cols = 2 * (sum_bits + 2) + 2 * (w.result as usize + w.vapprox as usize + 2);
-        let cols = 2 + halves.len() * self.half_width() + shared + scratch_cols;
-        let ap = tile.acquire(ApConfig::new(rows, cols), self.backend)?;
-
-        let mut field_slots: [Option<HalfFields>; 2] = [None, None];
-        for slot in field_slots.iter_mut().take(halves.len()) {
-            *slot = Some(self.alloc_half(ap)?);
-        }
-        // Shared operand field (holds µ, vln2, vb, vc in turn), the
-        // per-row pair-sum field, the broadcast divisor, and the min.
-        let op = ap.alloc_field(2 * m + 1)?;
-        let sumw = ap.alloc_field(sum_bits)?;
-        let den = ap.alloc_field(sum_bits)?;
-        let minf = ap.alloc_field(m)?;
-        let cols_used = den.end();
-
+        let (ap, f) = self.alloc_fields(tile, FieldSet::WHOLE, halves.len(), rows, false)?;
         let sum_reg;
         let program;
         {
@@ -1193,17 +1287,16 @@ impl ApSoftmax {
                 &mut on_step,
                 record,
             );
-            sum_reg =
-                self.issue_dataflow(&mut rec, &field_slots[..halves.len()], op, sumw, den, minf)?;
+            sum_reg = self.issue_dataflow(&mut rec, &f.halves[..halves.len()], &f)?;
             program = rec.finish();
         }
         run.codes.truncate(total_len);
         run.vapprox.truncate(total_len);
-        run.frac_bits = w.frac_bits();
+        run.frac_bits = self.sm.widths().frac_bits();
         run.sum = scratch.reg(sum_reg);
         run.total = ap.stats();
         run.rows = rows;
-        run.cols_used = cols_used;
+        run.cols_used = f.den.end();
         Self::finish_unsharded(run);
         Ok(program.map(|p| (p, sum_reg)))
     }
@@ -1303,45 +1396,6 @@ impl ApSoftmax {
         Ok(())
     }
 
-    // ---- sharded long-sequence execution --------------------------------
-
-    /// Executes a vector that exceeds one tile's row capacity, sharded
-    /// across the device's tile grid. The dataflow has two cross-tile
-    /// synchronization points (Fig. 5 adapted to a tile grid):
-    ///
-    /// 1. **min phase** — every shard loads its slice and runs the
-    ///    bit-serial min search; the shard minima combine over the
-    ///    reduction network into the global minimum,
-    /// 2. **exp phase** — every shard re-stages its slice, subtracts
-    ///    the global minimum (arriving as a program *scalar input*),
-    ///    runs the integer exponential, and tree-reduces its partial
-    ///    sum; the partials combine over the network (in the scalar
-    ///    spec's overflow mode) into the divisor,
-    /// 3. **divide phase** — every shard stages its `v_approx` slice
-    ///    and divides by the broadcast divisor.
-    ///
-    /// Bit-exactness versus the scalar spec holds because the global
-    /// minimum is the min of shard minima and the saturating/wrapping
-    /// sum of non-negative values is order-independent. The cost
-    /// contract charges each phase's staging (tiles do not retain state
-    /// across global synchronization points) plus the deterministic
-    /// reduction-network formula; the device critical path adds wave
-    /// scheduling when shards exceed the grid.
-    fn execute_sharded(
-        &self,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-        mode: PlanMode,
-    ) -> Result<(), CoreError> {
-        let mut ranges = std::mem::take(&mut state.shard.ranges);
-        let part = self.effective_partition(codes.len(), &mut ranges);
-        let result =
-            part.and_then(|()| self.execute_sharded_with(state, codes, run, mode, &ranges));
-        state.shard.ranges = ranges;
-        result
-    }
-
     /// The shard partition this mapping executes `len` elements with:
     /// the candidate-view override when the autotuner is evaluating a
     /// specific partition, the device's greedy default otherwise.
@@ -1360,597 +1414,11 @@ impl ApSoftmax {
             .map_err(CoreError::Ap)
     }
 
-    fn execute_sharded_with(
-        &self,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-        mode: PlanMode,
-        ranges: &[(usize, usize)],
-    ) -> Result<(), CoreError> {
-        if mode == PlanMode::DirectIssue {
-            // Direct issue stays on the re-staging path: residency is
-            // a plan-level optimization, and the direct-vs-replay
-            // differential baseline keeps characterizing PR 5's
-            // contract exactly.
-            return self.run_sharded(
-                state,
-                codes,
-                run,
-                ranges,
-                ShardExec::Direct,
-                false,
-                self.layout,
-            );
-        }
-        let resident = self.resident_for(ranges.len());
-        let vkey = PlanKey {
-            len: codes.len(),
-            layout: self.layout,
-            div: self.div_style,
-            opt: self.opt_level,
-            phase: PlanPhase::Vector,
-            resident,
-            tuned: false,
-        };
-        let token = self.plans.slot_token();
-        if let Some((slot_token, slot_key, CachedPlan::Sharded(plan))) = state.plan.as_ref() {
-            if *slot_token == token && *slot_key == vkey {
-                self.plans.note_hit();
-                let plan = Arc::clone(plan);
-                return self.run_sharded(
-                    state,
-                    codes,
-                    run,
-                    ranges,
-                    ShardExec::Replay(&plan),
-                    resident,
-                    self.layout,
-                );
-            }
-        }
-        if let Some(CachedPlan::Sharded(plan)) = self.plans.get(&vkey) {
-            state.plan = Some((token, vkey, CachedPlan::Sharded(Arc::clone(&plan))));
-            return self.run_sharded(
-                state,
-                codes,
-                run,
-                ranges,
-                ShardExec::Replay(&plan),
-                resident,
-                self.layout,
-            );
-        }
-        // Vector-shape miss: compile under the lock so racing workers
-        // converge on one sharded plan (phase programs compiled along
-        // the way are themselves cached and shared).
-        let compile_guard = self.plans.lock_for_compile();
-        if let Some(CachedPlan::Sharded(plan)) = self.plans.get(&vkey) {
-            drop(compile_guard);
-            state.plan = Some((token, vkey, CachedPlan::Sharded(Arc::clone(&plan))));
-            return self.run_sharded(
-                state,
-                codes,
-                run,
-                ranges,
-                ShardExec::Replay(&plan),
-                resident,
-                self.layout,
-            );
-        }
-        let started = std::time::Instant::now();
-        let mut builder = ShardPlanBuilder::default();
-        self.run_sharded(
-            state,
-            codes,
-            run,
-            ranges,
-            ShardExec::Compile(&mut builder),
-            resident,
-            self.layout,
-        )?;
-        let plan = Arc::new(ShardedPlan {
-            ranges: ranges.to_vec(),
-            min_plans: builder.min_plans,
-            exp_plans: builder.exp_plans,
-            div_plans: builder.div_plans,
-            steps: run.steps.clone(),
-            total: run.total,
-            reduction: run.reduction,
-            latency_cycles: run.latency_cycles,
-            waves: run.waves,
-            rows: run.rows,
-            cols_used: run.cols_used,
-            compile_micros: started.elapsed().as_secs_f64() * 1e6,
-            resident,
-        });
-        self.plans
-            .insert(vkey, CachedPlan::Sharded(Arc::clone(&plan)));
-        drop(compile_guard);
-        state.plan = Some((token, vkey, CachedPlan::Sharded(plan)));
-        Ok(())
-    }
-
-    /// The three sharded passes; `exec` selects direct issue, cached
-    /// replay, or compile (get-or-record each shard shape's phase
-    /// program while executing). `resident` selects the residency
-    /// plan: shard tiles pinned across phases (from the per-shard tile
-    /// pool), phase-boundary staging elided, followers charged in
-    /// lockstep — versus the PR 5 re-staging path. `layout` is the row
-    /// packing the shards stage under — the configured layout on every
-    /// path except tuned replay, which packs by the winner's layout.
-    #[allow(clippy::too_many_arguments)]
-    fn run_sharded(
-        &self,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-        ranges: &[(usize, usize)],
-        mut exec: ShardExec<'_>,
-        resident: bool,
-        layout: Layout,
-    ) -> Result<(), CoreError> {
-        // A cached sharded plan is only valid for the exact partition
-        // (and residency mode) it was compiled at; the phase-program
-        // vectors are indexed by shard position below.
-        if let ShardExec::Replay(plan) = &exec {
-            if plan.ranges != ranges || plan.resident != resident {
-                return Err(CoreError::BadWorkload(
-                    "cached sharded plan does not match the device partition".into(),
-                ));
-            }
-        }
-        let shards = ranges.len();
-        let total_len = codes.len();
-        let m_bits = self.cfg().m;
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg());
-        let w = *self.sm.widths();
-
-        let TileState {
-            tile,
-            half0,
-            half1,
-            scratch,
-            shard,
-            ..
-        } = state;
-        let ShardScratch {
-            minima,
-            partials,
-            phase_cycles,
-            loads,
-            tiles: shard_tiles,
-            ..
-        } = shard;
-        let ApSoftmaxRun {
-            codes: out_codes,
-            vapprox: out_vap,
-            steps,
-            ..
-        } = run;
-        out_codes.clear();
-        out_vap.clear();
-        steps.clear();
-        minima.clear();
-        partials.clear();
-        for pc in phase_cycles.iter_mut() {
-            pc.clear();
-        }
-        if resident && shard_tiles.len() < shards {
-            // The pool only grows; steady-state resident execution
-            // re-acquires existing arenas with zero allocations.
-            shard_tiles.resize_with(shards, ApTile::new);
-        }
-        let mut total = CycleStats::default();
-        let mut rows_max = 0usize;
-        let mut cols_max = 0usize;
-
-        // Pass 1: per-shard min search. Resident shards acquire their
-        // pinned tile at the shared union geometry here (the one clear
-        // of the vector's lifetime); passes 2 and 3 only re-arm it.
-        for (i, &(s, e)) in ranges.iter().enumerate() {
-            let (packed, rows) = Self::packing_of(layout, e - s);
-            rows_max = rows_max.max(rows);
-            half0.clear();
-            half0.extend(codes[s..s + rows].iter().map(|&c| c.unsigned_abs()));
-            half1.clear();
-            if packed {
-                half1.extend(codes[s + rows..e].iter().map(|&c| c.unsigned_abs()));
-            }
-            let halves_arr: [&[u64]; 2] = [half0.as_slice(), half1.as_slice()];
-            let halves = if packed {
-                &halves_arr[..]
-            } else {
-                &halves_arr[..1]
-            };
-            let tile_i: &mut ApTile = if resident {
-                &mut shard_tiles[i]
-            } else {
-                &mut *tile
-            };
-            let (stats, cols_used, minv) = match &mut exec {
-                ShardExec::Direct => {
-                    let (stats, cols, minv, _) =
-                        self.issue_min_phase(tile_i, scratch, halves, rows, steps, false)?;
-                    (stats, cols, minv)
-                }
-                ShardExec::Replay(plan) => {
-                    let p = &plan.min_plans[i];
-                    let mut outs: [&mut Vec<u64>; 0] = [];
-                    let stats = self.replay_shard_phase(
-                        p,
-                        tile_i,
-                        scratch,
-                        halves,
-                        &[],
-                        &mut outs,
-                        steps,
-                        phase_replay(ranges, i, resident),
-                        false,
-                    )?;
-                    (stats, p.cols_used(), scratch.reg(p.result_reg()))
-                }
-                ShardExec::Compile(builder) => {
-                    let key = self.shard_key(e - s, PlanPhase::ShardMin, resident);
-                    if let Some(CachedPlan::Program(p)) = self.plans.peek(&key) {
-                        let mut outs: [&mut Vec<u64>; 0] = [];
-                        let stats = self.replay_shard_phase(
-                            &p,
-                            tile_i,
-                            scratch,
-                            halves,
-                            &[],
-                            &mut outs,
-                            steps,
-                            phase_replay(ranges, i, resident),
-                            false,
-                        )?;
-                        let minv = scratch.reg(p.result_reg());
-                        builder.min_plans.push(Arc::clone(&p));
-                        (stats, p.cols_used(), minv)
-                    } else {
-                        let steps_snapshot = steps.clone();
-                        let started = std::time::Instant::now();
-                        let (stats, cols, _, prog) = if resident {
-                            self.issue_resident_min_phase(
-                                tile_i, scratch, halves, rows, steps, true,
-                            )?
-                        } else {
-                            self.issue_min_phase(tile_i, scratch, halves, rows, steps, true)?
-                        };
-                        let (mut program, reg) = prog.expect("recording returns a program");
-                        let mut outs: [&mut Vec<u64>; 0] = [];
-                        let (report, stats, minv) = self.optimize_phase(
-                            &mut program,
-                            reg,
-                            tile_i,
-                            scratch,
-                            halves,
-                            &[],
-                            &mut outs,
-                            &[],
-                            &[],
-                            steps,
-                            steps_snapshot,
-                            stats,
-                        )?;
-                        let p = Arc::new(CompiledPlan::new(
-                            program,
-                            reg,
-                            rows,
-                            cols,
-                            report,
-                            started.elapsed().as_secs_f64() * 1e6,
-                        ));
-                        self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
-                        builder.min_plans.push(p);
-                        (stats, cols, minv)
-                    }
-                }
-            };
-            minima.push(minv);
-            phase_cycles[0].push(stats.cycles());
-            cols_max = cols_max.max(cols_used);
-            total.accumulate(&stats);
-        }
-
-        // Cross-tile min over the reduction network.
-        let global_min = minima.iter().copied().min().expect("shards >= 1");
-        let red_min = self.device.reduction_network(shards, m_bits);
-        accumulate_step(steps, "device: cross-tile min", red_min);
-        total.accumulate(&red_min);
-
-        // Pass 2: per-shard exp + partial sum (global min arrives as a
-        // program scalar input). Resident shards re-arm their pinned
-        // tile: the score planes written by the min phase are the exp
-        // phase's input, so no host staging and no `Load` ops happen —
-        // the halves are only (re)packed on the compile path, where
-        // the optimizer's recost needs them to prestage a cleared
-        // tile.
-        let no_inputs: [&[u64]; 0] = [];
-        for (i, &(s, e)) in ranges.iter().enumerate() {
-            let (packed, rows) = Self::packing_of(layout, e - s);
-            let stage_hosts = !resident || matches!(exec, ShardExec::Compile(_));
-            half0.clear();
-            half1.clear();
-            if stage_hosts {
-                half0.extend(codes[s..s + rows].iter().map(|&c| c.unsigned_abs()));
-                if packed {
-                    half1.extend(codes[s + rows..e].iter().map(|&c| c.unsigned_abs()));
-                }
-            }
-            let halves_arr: [&[u64]; 2] = [half0.as_slice(), half1.as_slice()];
-            let halves = if packed {
-                &halves_arr[..]
-            } else {
-                &halves_arr[..1]
-            };
-            let halves_n = halves.len();
-            let replay_inputs: &[&[u64]] = if resident { &no_inputs } else { halves };
-            let tile_i: &mut ApTile = if resident {
-                &mut shard_tiles[i]
-            } else {
-                &mut *tile
-            };
-            let scalars = [global_min];
-            let (stats, cols_used, partial) = match &mut exec {
-                ShardExec::Direct => {
-                    let (stats, cols, partial, _) = self.issue_exp_phase(
-                        tile_i, scratch, halves, rows, &scalars, out_vap, steps, false,
-                    )?;
-                    (stats, cols, partial)
-                }
-                ShardExec::Replay(plan) => {
-                    let p = &plan.exp_plans[i];
-                    let mut outs: [&mut Vec<u64>; 1] = [out_vap];
-                    let stats = self.replay_shard_phase(
-                        p,
-                        tile_i,
-                        scratch,
-                        replay_inputs,
-                        &scalars,
-                        &mut outs,
-                        steps,
-                        phase_replay(ranges, i, resident),
-                        resident,
-                    )?;
-                    (stats, p.cols_used(), scratch.reg(p.result_reg()))
-                }
-                ShardExec::Compile(builder) => {
-                    let key = self.shard_key(e - s, PlanPhase::ShardExp, resident);
-                    if let Some(CachedPlan::Program(p)) = self.plans.peek(&key) {
-                        let mut outs: [&mut Vec<u64>; 1] = [out_vap];
-                        let stats = self.replay_shard_phase(
-                            &p,
-                            tile_i,
-                            scratch,
-                            replay_inputs,
-                            &scalars,
-                            &mut outs,
-                            steps,
-                            phase_replay(ranges, i, resident),
-                            resident,
-                        )?;
-                        let partial = scratch.reg(p.result_reg());
-                        builder.exp_plans.push(Arc::clone(&p));
-                        (stats, p.cols_used(), partial)
-                    } else {
-                        let steps_snapshot = steps.clone();
-                        let vap_mark = out_vap.len();
-                        let started = std::time::Instant::now();
-                        let (stats, cols, _, prog) = if resident {
-                            self.issue_resident_exp_phase(
-                                tile_i, scratch, halves_n, rows, &scalars, out_vap, steps, true,
-                            )?
-                        } else {
-                            self.issue_exp_phase(
-                                tile_i, scratch, halves, rows, &scalars, out_vap, steps, true,
-                            )?
-                        };
-                        let (mut program, reg) = prog.expect("recording returns a program");
-                        let mut outs: [&mut Vec<u64>; 1] = [out_vap];
-                        // The resident recost re-creates the pre-phase
-                        // plane state on a cleared tile by prestaging
-                        // the score planes the min phase left behind.
-                        let prestage: Vec<(Field, &[u64])> = if resident {
-                            (0..halves_n)
-                                .map(|h| (self.resident_x_field(h), halves[h]))
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let (report, stats, partial) = self.optimize_phase(
-                            &mut program,
-                            reg,
-                            tile_i,
-                            scratch,
-                            replay_inputs,
-                            &scalars,
-                            &mut outs,
-                            &[vap_mark],
-                            &prestage,
-                            steps,
-                            steps_snapshot,
-                            stats,
-                        )?;
-                        let p = Arc::new(CompiledPlan::new(
-                            program,
-                            reg,
-                            rows,
-                            cols,
-                            report,
-                            started.elapsed().as_secs_f64() * 1e6,
-                        ));
-                        self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
-                        builder.exp_plans.push(p);
-                        (stats, cols, partial)
-                    }
-                }
-            };
-            partials.push(partial);
-            phase_cycles[1].push(stats.cycles());
-            cols_max = cols_max.max(cols_used);
-            total.accumulate(&stats);
-        }
-
-        // Cross-tile sum over the reduction network, in the scalar
-        // spec's overflow mode.
-        let combined = self.combine_partials(partials)?;
-        let red_sum = self.device.reduction_network(shards, sum_bits);
-        accumulate_step(steps, "device: cross-tile sum", red_sum);
-        total.accumulate(&red_sum);
-
-        // Pass 3: per-shard divide by the broadcast divisor. Resident
-        // shards divide the `v_approx` planes the exp phase left in
-        // their pinned tiles, so the host never re-stages them.
-        for (i, &(s, e)) in ranges.iter().enumerate() {
-            let (packed, rows) = Self::packing_of(layout, e - s);
-            let stage_hosts = !resident || matches!(exec, ShardExec::Compile(_));
-            let vap = &out_vap[s..e];
-            let vap_halves_arr: [&[u64]; 2] = [&vap[..rows], &vap[rows.min(vap.len())..]];
-            let vap_halves_all = if packed {
-                &vap_halves_arr[..]
-            } else {
-                &vap_halves_arr[..1]
-            };
-            let halves_n = vap_halves_all.len();
-            let vap_halves: &[&[u64]] = if stage_hosts {
-                vap_halves_all
-            } else {
-                &no_inputs
-            };
-            let replay_inputs: &[&[u64]] = if resident { &no_inputs } else { vap_halves };
-            let tile_i: &mut ApTile = if resident {
-                &mut shard_tiles[i]
-            } else {
-                &mut *tile
-            };
-            let scalars = [combined];
-            let (stats, cols_used) = match &mut exec {
-                ShardExec::Direct => {
-                    let (stats, cols, _) = self.issue_div_phase(
-                        tile_i, scratch, vap_halves, rows, &scalars, out_codes, steps, false,
-                    )?;
-                    (stats, cols)
-                }
-                ShardExec::Replay(plan) => {
-                    let p = &plan.div_plans[i];
-                    let mut outs: [&mut Vec<u64>; 1] = [out_codes];
-                    let stats = self.replay_shard_phase(
-                        p,
-                        tile_i,
-                        scratch,
-                        replay_inputs,
-                        &scalars,
-                        &mut outs,
-                        steps,
-                        phase_replay(ranges, i, resident),
-                        resident,
-                    )?;
-                    (stats, p.cols_used())
-                }
-                ShardExec::Compile(builder) => {
-                    let key = self.shard_key(e - s, PlanPhase::ShardDiv, resident);
-                    if let Some(CachedPlan::Program(p)) = self.plans.peek(&key) {
-                        let mut outs: [&mut Vec<u64>; 1] = [out_codes];
-                        let stats = self.replay_shard_phase(
-                            &p,
-                            tile_i,
-                            scratch,
-                            replay_inputs,
-                            &scalars,
-                            &mut outs,
-                            steps,
-                            phase_replay(ranges, i, resident),
-                            resident,
-                        )?;
-                        builder.div_plans.push(Arc::clone(&p));
-                        (stats, p.cols_used())
-                    } else {
-                        let steps_snapshot = steps.clone();
-                        let codes_mark = out_codes.len();
-                        let started = std::time::Instant::now();
-                        let (stats, cols, prog) = if resident {
-                            self.issue_resident_div_phase(
-                                tile_i, scratch, halves_n, rows, &scalars, out_codes, steps, true,
-                            )?
-                        } else {
-                            self.issue_div_phase(
-                                tile_i, scratch, vap_halves, rows, &scalars, out_codes, steps, true,
-                            )?
-                        };
-                        let (mut program, reg) = prog.expect("recording returns a program");
-                        let mut outs: [&mut Vec<u64>; 1] = [out_codes];
-                        // Recost on a cleared tile prestages the
-                        // `v_approx` planes the exp phase persisted.
-                        let prestage: Vec<(Field, &[u64])> = if resident {
-                            (0..halves_n)
-                                .map(|h| (self.resident_vapprox_field(h), vap_halves_all[h]))
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        let (report, stats, _) = self.optimize_phase(
-                            &mut program,
-                            reg,
-                            tile_i,
-                            scratch,
-                            replay_inputs,
-                            &scalars,
-                            &mut outs,
-                            &[codes_mark],
-                            &prestage,
-                            steps,
-                            steps_snapshot,
-                            stats,
-                        )?;
-                        let p = Arc::new(CompiledPlan::new(
-                            program,
-                            reg,
-                            rows,
-                            cols,
-                            report,
-                            started.elapsed().as_secs_f64() * 1e6,
-                        ));
-                        self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
-                        builder.div_plans.push(p);
-                        (stats, cols)
-                    }
-                }
-            };
-            phase_cycles[2].push(stats.cycles());
-            cols_max = cols_max.max(cols_used);
-            total.accumulate(&stats);
-        }
-        debug_assert_eq!(out_codes.len(), total_len);
-        debug_assert_eq!(out_vap.len(), total_len);
-
-        // Device view: critical path = per-phase wave makespans plus
-        // the reduction-network cycles. Under residency the followers'
-        // per-phase cycles are tiny (input staging only) or zero, so
-        // the makespan collapses to the per-wave leader.
-        let mut latency = red_min.cycles() + red_sum.cycles();
-        for pc in phase_cycles.iter() {
-            latency += device::wave_makespan(pc, self.device.tiles, loads);
-        }
-        let mut reduction = red_min;
-        reduction.accumulate(&red_sum);
-
-        run.frac_bits = w.frac_bits();
-        run.sum = combined;
-        run.total = total;
-        run.rows = rows_max;
-        run.cols_used = cols_max;
-        run.shards = shards;
-        run.waves = self.device.waves(shards);
-        run.latency_cycles = latency;
-        run.reduction = reduction;
-        Ok(())
-    }
-
-    fn shard_key(&self, shard_len: usize, phase: PlanPhase, resident: bool) -> PlanKey {
+    /// The untuned cache key of a program for `len` elements: a
+    /// vector-level entry, or one shard phase of a shard that long.
+    fn plan_key(&self, len: usize, phase: PlanPhase, resident: bool) -> PlanKey {
         PlanKey {
-            len: shard_len,
+            len,
             layout: self.layout,
             div: self.div_style,
             opt: self.opt_level,
@@ -1964,15 +1432,8 @@ impl ApSoftmax {
     /// the scalar spec's overflow mode — bit-identical to the
     /// whole-vector reduction because saturating/wrapping addition of
     /// non-negative values is order-independent.
-    fn combine_partials(&self, partials: &[u64]) -> Result<u64, CoreError> {
-        self.combine_partials_from(partials.iter().copied())
-    }
-
-    /// [`ApSoftmax::combine_partials`] over any per-shard value source
-    /// — the shard-parallel fan-out combines straight from its atomic
-    /// deposit array without staging a slice.
-    fn combine_partials_from(&self, partials: impl Iterator<Item = u64>) -> Result<u64, CoreError> {
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg());
+    fn combine_partials(&self, partials: impl Iterator<Item = u64>) -> Result<u64, CoreError> {
+        let sum_bits = self.sum_bits();
         let mask: u128 = if sum_bits >= 128 {
             u128::MAX
         } else {
@@ -1995,515 +1456,6 @@ impl ApSoftmax {
         }
     }
 
-    /// Replays one shard-phase program on a tile. `mode` selects the
-    /// pricing (see [`phase_replay`]); `rearm` keeps the tile's CAM
-    /// cells across the call (resident phases re-arm their pinned tile
-    /// instead of clearing it, so the previous phase's output planes
-    /// survive as this phase's inputs).
-    #[allow(clippy::too_many_arguments)]
-    fn replay_shard_phase<'d>(
-        &self,
-        plan: &CompiledPlan,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        inputs: &[&'d [u64]],
-        scalars: &[u64],
-        outs: &mut [&'d mut Vec<u64>],
-        steps: &mut Vec<StepStats>,
-        mode: PhaseReplay,
-        rearm: bool,
-    ) -> Result<CycleStats, CoreError> {
-        let config = plan.program().config();
-        let ap = if rearm {
-            tile.rearm_resident(config, self.backend)?
-        } else {
-            tile.acquire(config, self.backend)?
-        };
-        let io = ExecIo::new(inputs, outs).with_scalars(scalars);
-        let on_step = |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-        match mode {
-            PhaseReplay::Full => plan.program().replay(ap, io, scratch, on_step)?,
-            PhaseReplay::Hoisted => plan.program().replay_resident(ap, io, scratch, on_step)?,
-            PhaseReplay::Lockstep => plan.program().replay_lockstep(ap, io, scratch, on_step)?,
-        }
-        Ok(ap.stats())
-    }
-
-    /// Optimizes a freshly recorded shard-phase program. When the pass
-    /// pipeline changed the trace, the recording execution's outputs
-    /// and step deltas no longer describe it: they are rolled back (to
-    /// `out_marks` / `steps_snapshot`) and one recost execution of the
-    /// fused schedule replaces them, also re-anchoring the program's
-    /// static cost. A resident phase reads planes a previous phase left
-    /// in the tile; `prestage` re-creates that pre-phase state on the
-    /// recost's cleared tile by loading `(field, data)` pairs before
-    /// the run (and resetting the statistics, so the prestage loads —
-    /// which a resident replay never performs — are not charged). The
-    /// recost total still matches a resident replay exactly because
-    /// write costs are content-independent: charging a program on a
-    /// cleared-then-prestaged tile and on a re-armed tile with stale
-    /// scratch planes prices identically. Returns the pass report plus
-    /// the (possibly re-derived) phase stats and result scalar.
-    #[allow(clippy::too_many_arguments)]
-    fn optimize_phase<'d>(
-        &self,
-        program: &mut ApProgram,
-        reg: RegId,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        inputs: &[&'d [u64]],
-        scalars: &[u64],
-        outs: &mut [&'d mut Vec<u64>],
-        out_marks: &[usize],
-        prestage: &[(Field, &[u64])],
-        steps: &mut Vec<StepStats>,
-        steps_snapshot: Vec<StepStats>,
-        stats: CycleStats,
-    ) -> Result<(PassReport, CycleStats, u64), CoreError> {
-        let report = optimizer::optimize(program, self.opt_level);
-        if !report.changed() {
-            self.apply_blocking(program);
-            return Ok((report, stats, scratch.reg(reg)));
-        }
-        *steps = steps_snapshot;
-        for (out, &mark) in outs.iter_mut().zip(out_marks) {
-            out.truncate(mark);
-        }
-        let ap = tile.acquire(program.config(), self.backend)?;
-        for &(field, data) in prestage {
-            ap.load(field, data)?;
-        }
-        if !prestage.is_empty() {
-            ap.reset_stats();
-        }
-        program.recost(
-            ap,
-            ExecIo::new(inputs, outs).with_scalars(scalars),
-            scratch,
-            |name, stats| accumulate_step(steps, name, stats),
-        )?;
-        self.apply_blocking(program);
-        Ok((report, ap.stats(), scratch.reg(reg)))
-    }
-
-    /// Min phase: load the shard's halves and min-search them. Returns
-    /// (stats, cols_used, shard minimum, recorded program).
-    #[allow(clippy::type_complexity)]
-    fn issue_min_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        rows: usize,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, u64, Option<(ApProgram, RegId)>), CoreError> {
-        let m = self.cfg().m as usize;
-        let cols = 2 + halves.len() * m;
-        let ap = tile.acquire(ApConfig::new(rows, cols), self.backend)?;
-        let mut fields: [Option<Field>; 2] = [None, None];
-        for slot in fields.iter_mut().take(halves.len()) {
-            *slot = Some(ap.alloc_field(m)?);
-        }
-        let cols_used = fields
-            .iter()
-            .flatten()
-            .last()
-            .map_or(0, softmap_ap::Field::end);
-        let min_reg;
-        let program;
-        {
-            let mut outs: [&mut Vec<u64>; 0] = [];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(halves, &mut outs),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            for (slot, f) in fields.iter().flatten().enumerate() {
-                rec.load(*f, slot)?;
-            }
-            rec.step("shard: write v");
-            let mut reg: Option<RegId> = None;
-            for f in fields.iter().flatten() {
-                let r = rec.min_search(*f);
-                reg = Some(match reg {
-                    Some(prev) => rec.reg_min(prev, r),
-                    None => r,
-                });
-            }
-            min_reg = reg.expect("at least one half");
-            rec.step("shard: min search");
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((
-            stats,
-            cols_used,
-            scratch.reg(min_reg),
-            program.map(|p| (p, min_reg)),
-        ))
-    }
-
-    /// Exp phase: re-stage the shard, subtract the global minimum
-    /// (scalar input 0), run the integer exponential, tree-reduce the
-    /// partial sum, and read `v_approx` out (output slot 0). Returns
-    /// (stats, cols_used, partial sum, recorded program).
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn issue_exp_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        rows: usize,
-        scalars: &[u64],
-        vap_out: &mut Vec<u64>,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, u64, Option<(ApProgram, RegId)>), CoreError> {
-        let m = self.cfg().m as usize;
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-        let shared = (2 * m + 1) + sum_bits + sum_bits + m;
-        let cols = 2 + halves.len() * self.exp_half_width() + shared + (sum_bits + 2);
-        let ap = tile.acquire(ApConfig::new(rows, cols), self.backend)?;
-        let mut exp_arr: [Option<ExpFields>; 2] = [None, None];
-        for slot in exp_arr.iter_mut().take(halves.len()) {
-            *slot = Some(self.alloc_exp_half(ap)?);
-        }
-        let exp = &exp_arr[..halves.len()];
-        let op = ap.alloc_field(2 * m + 1)?;
-        let sumw = ap.alloc_field(sum_bits)?;
-        let den = ap.alloc_field(sum_bits)?;
-        let minf = ap.alloc_field(m)?;
-        let cols_used = minf.end();
-        let sum_reg;
-        let program;
-        {
-            let mut outs: [&mut Vec<u64>; 1] = [vap_out];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(halves, &mut outs).with_scalars(scalars),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            for (slot, f) in exp.iter().flatten().enumerate() {
-                rec.load(f.x, slot)?;
-            }
-            rec.step("shard: rewrite v");
-            let g = rec.reg_input(0)?;
-            Self::issue_stabilize(&mut rec, exp, minf, g, "2: subtract max")?;
-            self.issue_exp_approx(&mut rec, exp, op)?;
-            sum_reg =
-                self.issue_partial_reduce(&mut rec, exp, sumw, den, "14: partial reduction")?;
-            for f in exp.iter().flatten() {
-                rec.read(f.vapprox, 0)?;
-            }
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((
-            stats,
-            cols_used,
-            scratch.reg(sum_reg),
-            program.map(|p| (p, sum_reg)),
-        ))
-    }
-
-    /// Divide phase: stage the shard's `v_approx` slice, broadcast the
-    /// clamped divisor (scalar input 0), divide, and read the codes out
-    /// (output slot 0). Returns (stats, cols_used, recorded program).
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn issue_div_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        vap_halves: &[&[u64]],
-        rows: usize,
-        scalars: &[u64],
-        codes_out: &mut Vec<u64>,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, Option<(ApProgram, RegId)>), CoreError> {
-        let w = *self.sm.widths();
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-        let per_half = w.vapprox as usize + w.result as usize;
-        let scratch_cols = (sum_bits + 2) + 2 * (w.result as usize + w.vapprox as usize + 2);
-        let cols = 2 + vap_halves.len() * per_half + sum_bits + scratch_cols;
-        let ap = tile.acquire(ApConfig::new(rows, cols), self.backend)?;
-        let mut fields: [Option<(Field, Field)>; 2] = [None, None];
-        for slot in fields.iter_mut().take(vap_halves.len()) {
-            *slot = Some((
-                ap.alloc_field(w.vapprox as usize)?,
-                ap.alloc_field(w.result as usize)?,
-            ));
-        }
-        let den = ap.alloc_field(sum_bits)?;
-        let cols_used = den.end();
-        let sum_reg;
-        let program;
-        {
-            let mut outs: [&mut Vec<u64>; 1] = [codes_out];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(vap_halves, &mut outs).with_scalars(scalars),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            for (slot, (vap, _)) in fields.iter().flatten().enumerate() {
-                rec.load(*vap, slot)?;
-            }
-            sum_reg = rec.reg_input(0)?;
-            let den_reg = rec.reg_max1(sum_reg);
-            rec.broadcast_reg(den, den_reg)?;
-            rec.step("shard: write v_approx + divisor");
-            let f_bits = w.frac_bits() as usize;
-            for (vap, res) in fields.iter().flatten() {
-                rec.divide(*vap, den, *res, f_bits, self.div_style)?;
-            }
-            rec.step("16: divide");
-            for (_, res) in fields.iter().flatten() {
-                rec.read(*res, 0)?;
-            }
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((stats, cols_used, program.map(|p| (p, sum_reg))))
-    }
-
-    /// The **union** tile geometry every resident shard phase runs at:
-    /// the whole-vector layout of [`ApSoftmax::issue_once`] (per-half
-    /// [`HalfFields`], then the shared operand/sum/divisor/min fields,
-    /// then division scratch headroom). All three resident phase
-    /// programs allocate these fields in the identical order, so a
-    /// column range means the same thing in every phase and planes
-    /// written by one phase are readable by the next (the residency
-    /// contract in `softmap_ap::program`).
-    fn resident_config(&self, halves: usize, rows: usize) -> ApConfig {
-        let m = self.cfg().m as usize;
-        let w = self.sm.widths();
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-        let shared = (2 * m + 1) + sum_bits + sum_bits + m;
-        let scratch_cols = 2 * (sum_bits + 2) + 2 * (w.result as usize + w.vapprox as usize + 2);
-        let cols = 2 + halves * self.half_width() + shared + scratch_cols;
-        ApConfig::new(rows, cols)
-    }
-
-    /// Allocates the union layout on a (cleared or re-armed) core.
-    /// Returns the per-half fields and the shared
-    /// (`op`, `sumw`, `den`, `minf`) fields, in allocation order.
-    #[allow(clippy::type_complexity)]
-    fn alloc_resident_fields(
-        &self,
-        ap: &mut ApCore,
-        halves: usize,
-    ) -> Result<([Option<HalfFields>; 2], Field, Field, Field, Field), CoreError> {
-        let m = self.cfg().m as usize;
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
-        let mut slots: [Option<HalfFields>; 2] = [None, None];
-        for slot in slots.iter_mut().take(halves) {
-            *slot = Some(self.alloc_half(ap)?);
-        }
-        let op = ap.alloc_field(2 * m + 1)?;
-        let sumw = ap.alloc_field(sum_bits)?;
-        let den = ap.alloc_field(sum_bits)?;
-        let minf = ap.alloc_field(m)?;
-        Ok((slots, op, sumw, den, minf))
-    }
-
-    /// Column range of half `h`'s score plane (`x`) in the union
-    /// layout — what the min phase loads and the exp phase consumes in
-    /// place. Used to prestage the optimizer's recost tile.
-    fn resident_x_field(&self, half: usize) -> Field {
-        let m = self.cfg().m as usize;
-        Field::new(2 + half * self.half_width(), m)
-    }
-
-    /// Column range of half `h`'s `v_approx` plane in the union
-    /// layout — what the exp phase writes and the divide phase consumes
-    /// in place.
-    fn resident_vapprox_field(&self, half: usize) -> Field {
-        let m = self.cfg().m as usize;
-        let w = self.sm.widths();
-        let work_w = (3 * m + 2).max(w.poly as usize + 1);
-        let offset = m + w.q as usize + work_w + m;
-        Field::new(2 + half * self.half_width() + offset, w.vapprox as usize)
-    }
-
-    /// Resident min phase: acquire the shard's pinned tile at the
-    /// union geometry, load the score planes (the only host staging the
-    /// resident lifetime performs), and min-search them. Same return
-    /// shape as [`ApSoftmax::issue_min_phase`].
-    #[allow(clippy::type_complexity)]
-    fn issue_resident_min_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        rows: usize,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, u64, Option<(ApProgram, RegId)>), CoreError> {
-        let ap = tile.acquire(self.resident_config(halves.len(), rows), self.backend)?;
-        let (fields, _op, _sumw, _den, minf) = self.alloc_resident_fields(ap, halves.len())?;
-        let cols_used = minf.end();
-        let min_reg;
-        let program;
-        {
-            let mut outs: [&mut Vec<u64>; 0] = [];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(halves, &mut outs),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            for (slot, f) in fields.iter().flatten().enumerate() {
-                rec.load(f.exp.x, slot)?;
-            }
-            rec.step("shard: write v");
-            let mut reg: Option<RegId> = None;
-            for f in fields.iter().flatten() {
-                let r = rec.min_search(f.exp.x);
-                reg = Some(match reg {
-                    Some(prev) => rec.reg_min(prev, r),
-                    None => r,
-                });
-            }
-            min_reg = reg.expect("at least one half");
-            rec.step("shard: min search");
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((
-            stats,
-            cols_used,
-            scratch.reg(min_reg),
-            program.map(|p| (p, min_reg)),
-        ))
-    }
-
-    /// Resident exp phase: re-arm the pinned tile (score planes stay
-    /// put — **no** staging loads), subtract the global minimum (scalar
-    /// input 0) in place, run the integer exponential, tree-reduce the
-    /// partial sum, and read `v_approx` out (output slot 0). Same
-    /// return shape as [`ApSoftmax::issue_exp_phase`].
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn issue_resident_exp_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: usize,
-        rows: usize,
-        scalars: &[u64],
-        vap_out: &mut Vec<u64>,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, u64, Option<(ApProgram, RegId)>), CoreError> {
-        let ap = tile.rearm_resident(self.resident_config(halves, rows), self.backend)?;
-        let (fields, op, sumw, den, minf) = self.alloc_resident_fields(ap, halves)?;
-        let cols_used = minf.end();
-        let mut exp_arr: [Option<ExpFields>; 2] = [None, None];
-        for (slot, f) in fields.iter().flatten().enumerate() {
-            exp_arr[slot] = Some(f.exp);
-        }
-        let exp = &exp_arr[..halves];
-        let sum_reg;
-        let program;
-        {
-            let inputs: [&[u64]; 0] = [];
-            let mut outs: [&mut Vec<u64>; 1] = [vap_out];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(&inputs, &mut outs).with_scalars(scalars),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            let g = rec.reg_input(0)?;
-            Self::issue_stabilize(&mut rec, exp, minf, g, "2: subtract max")?;
-            self.issue_exp_approx(&mut rec, exp, op)?;
-            sum_reg =
-                self.issue_partial_reduce(&mut rec, exp, sumw, den, "14: partial reduction")?;
-            for f in exp.iter().flatten() {
-                rec.read(f.vapprox, 0)?;
-            }
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((
-            stats,
-            cols_used,
-            scratch.reg(sum_reg),
-            program.map(|p| (p, sum_reg)),
-        ))
-    }
-
-    /// Resident divide phase: re-arm the pinned tile (`v_approx`
-    /// planes stay put — **no** staging loads), broadcast the clamped
-    /// divisor (scalar input 0), divide, and read the codes out
-    /// (output slot 0). Same return shape as
-    /// [`ApSoftmax::issue_div_phase`].
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn issue_resident_div_phase(
-        &self,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: usize,
-        rows: usize,
-        scalars: &[u64],
-        codes_out: &mut Vec<u64>,
-        steps: &mut Vec<StepStats>,
-        record: bool,
-    ) -> Result<(CycleStats, usize, Option<(ApProgram, RegId)>), CoreError> {
-        let w = *self.sm.widths();
-        let ap = tile.rearm_resident(self.resident_config(halves, rows), self.backend)?;
-        let (fields, _op, _sumw, den, minf) = self.alloc_resident_fields(ap, halves)?;
-        let cols_used = minf.end();
-        let sum_reg;
-        let program;
-        {
-            let inputs: [&[u64]; 0] = [];
-            let mut outs: [&mut Vec<u64>; 1] = [codes_out];
-            let mut on_step =
-                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-            let mut rec = Recorder::new(
-                ap,
-                ExecIo::new(&inputs, &mut outs).with_scalars(scalars),
-                scratch,
-                &mut on_step,
-                record,
-            );
-            sum_reg = rec.reg_input(0)?;
-            let den_reg = rec.reg_max1(sum_reg);
-            rec.broadcast_reg(den, den_reg)?;
-            rec.step("shard: write divisor");
-            let f_bits = w.frac_bits() as usize;
-            for f in fields.iter().flatten() {
-                rec.divide(f.exp.vapprox, den, f.res, f_bits, self.div_style)?;
-            }
-            rec.step("16: divide");
-            for f in fields.iter().flatten() {
-                rec.read(f.res, 0)?;
-            }
-            program = rec.finish();
-        }
-        let stats = ap.stats();
-        Ok((stats, cols_used, program.map(|p| (p, sum_reg))))
-    }
-
     /// The sixteen dataflow steps of Fig. 5, issued through a
     /// [`Recorder`] (which either just executes them or additionally
     /// captures the trace). Returns the register holding the reduction
@@ -2511,87 +1463,69 @@ impl ApSoftmax {
     fn issue_dataflow(
         &self,
         rec: &mut Recorder<'_, '_>,
-        fields: &[Option<HalfFields>],
-        op: Field,
-        sumw: Field,
-        den: Field,
-        minf: Field,
+        halves: &[HalfFields],
+        f: &TileFields,
     ) -> Result<RegId, ApError> {
-        let w = *self.sm.widths();
-        let mut exp_arr: [Option<ExpFields>; 2] = [None, None];
-        let mut halves = 0;
-        for f in fields.iter().flatten() {
-            exp_arr[halves] = Some(f.exp);
-            halves += 1;
-        }
-        let exp = &exp_arr[..halves];
-
         // Step 1: write v (as magnitudes |code|; the sign is implicit in
         // the paper's non-positive input convention).
-        for (slot, f) in exp.iter().flatten().enumerate() {
-            rec.load(f.x, slot)?;
+        for (slot, h) in halves.iter().enumerate() {
+            rec.load(h.x, slot)?;
         }
         rec.step("1: write v");
 
-        // Step 1b/2: find min |code| (= max v) and subtract it:
-        // x := neg_vstable = |code| - min. The fold over halves runs in
-        // program registers.
+        // Step 1b/2: find min |code| (= max v) and subtract it.
+        let min_reg = Self::issue_min_search(rec, halves);
+        Self::issue_stabilize(rec, halves, f.minf, min_reg)?;
+
+        // Steps 3-13: the integer exponential (shared with the sharded
+        // exp phase).
+        self.issue_exp_approx(rec, halves, f.op)?;
+
+        // Step 14: reduction over all rows.
+        let sum_reg = self.issue_partial_reduce(rec, halves, f.sumw, f.den, "14: reduction")?;
+
+        // Steps 15-16: copy Σ to all rows and divide.
+        self.issue_divide(rec, halves, f.den, sum_reg, "15: copy sum")?;
+
+        // Gather outputs in input order (halves are concatenated),
+        // appending into the run's reused buffers.
+        for h in halves {
+            rec.read(h.res, 0)?;
+        }
+        for h in halves {
+            rec.read(h.vapprox, 1)?;
+        }
+        Ok(sum_reg)
+    }
+
+    /// Min-searches every half's `x` plane, folding the halves' minima
+    /// in program registers; returns the register holding the minimum.
+    fn issue_min_search(rec: &mut Recorder<'_, '_>, halves: &[HalfFields]) -> RegId {
         let mut min_reg: Option<RegId> = None;
-        for f in exp.iter().flatten() {
-            let r = rec.min_search(f.x);
+        for h in halves {
+            let r = rec.min_search(h.x);
             min_reg = Some(match min_reg {
                 Some(prev) => rec.reg_min(prev, r),
                 None => r,
             });
         }
-        let min_reg = min_reg.expect("at least one half");
-        Self::issue_stabilize(rec, exp, minf, min_reg, "2: subtract max")?;
-
-        // Steps 3-13: the integer exponential (shared with the sharded
-        // exp phase).
-        self.issue_exp_approx(rec, exp, op)?;
-
-        // Step 14: reduction over all rows.
-        let sum_reg = self.issue_partial_reduce(rec, exp, sumw, den, "14: reduction")?;
-
-        // Step 15: copy Σ to all rows (broadcast divisor). A wrapped sum
-        // of zero is clamped to 1, mirroring the scalar divisor clamp.
-        let den_reg = rec.reg_max1(sum_reg);
-        rec.broadcast_reg(den, den_reg)?;
-        rec.step("15: copy sum");
-
-        // Step 16: divide.
-        let f_bits = w.frac_bits() as usize;
-        for f in fields.iter().flatten() {
-            rec.divide(f.exp.vapprox, den, f.res, f_bits, self.div_style)?;
-        }
-        rec.step("16: divide");
-
-        // Gather outputs in input order (halves are concatenated),
-        // appending into the run's reused buffers.
-        for f in fields.iter().flatten() {
-            rec.read(f.res, 0)?;
-        }
-        for f in fields.iter().flatten() {
-            rec.read(f.exp.vapprox, 1)?;
-        }
-        Ok(sum_reg)
+        min_reg.expect("at least one half")
     }
 
-    /// Broadcast the (global or per-vector) minimum from `min_reg` and
-    /// subtract it from every `x`: `x := neg_vstable = |code| - min`.
+    /// Step 2: broadcast the (global or per-vector) minimum from
+    /// `min_reg` and subtract it from every `x`: `x := neg_vstable =
+    /// |code| - min`.
     fn issue_stabilize(
         rec: &mut Recorder<'_, '_>,
-        exp: &[Option<ExpFields>],
+        halves: &[HalfFields],
         minf: Field,
         min_reg: RegId,
-        mark: &'static str,
     ) -> Result<(), ApError> {
         rec.broadcast_reg(minf, min_reg)?;
-        for f in exp.iter().flatten() {
-            rec.sub_assert_clean(f.x, minf)?;
+        for h in halves {
+            rec.sub_assert_clean(h.x, minf)?;
         }
-        rec.step(mark);
+        rec.step("2: subtract max");
         Ok(())
     }
 
@@ -2601,7 +1535,7 @@ impl ApSoftmax {
     fn issue_exp_approx(
         &self,
         rec: &mut Recorder<'_, '_>,
-        exp: &[Option<ExpFields>],
+        halves: &[HalfFields],
         op: Field,
     ) -> Result<(), ApError> {
         let consts = *self.sm.constants();
@@ -2611,7 +1545,7 @@ impl ApSoftmax {
         // Steps 3-4: write µ, Barrett multiply + shift -> q̂.
         rec.broadcast(op, consts.mu)?;
         rec.step("3: write mu");
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.mul(f.x, op, f.work)?;
             rec.shr_const(f.work, 2 * m)?;
             rec.copy(f.work.sub(0, w.q as usize), f.q)?;
@@ -2621,26 +1555,26 @@ impl ApSoftmax {
         // Steps 5-6: write vln2, multiply q̂ · vln2.
         rec.broadcast(op, consts.vln2)?;
         rec.step("5: write vln2");
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.mul(f.q, op.sub(0, w.vln2 as usize), f.work)?;
         }
         rec.step("6: multiply q*vln2");
 
         // Step 7: subtract -> r = neg_vstable - q̂·vln2 (fits M bits).
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.sub_assert_clean(f.x, f.work.sub(0, m))?;
         }
         rec.step("7: subtract (vcorr)");
 
         // Steps 8-9: write vb, add: t = vb - r (saturating at zero).
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.broadcast(f.t, consts.vb)?;
             rec.saturating_sub_into(f.t, f.x)?;
         }
         rec.step("8-9: write vb, add vcorr");
 
         // Steps 10-11: copy + multiply -> t².
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.mul(f.t, f.t, f.work)?;
         }
         rec.step("10-11: copy, square");
@@ -2648,7 +1582,7 @@ impl ApSoftmax {
         // Steps 12-13: write vc, add, then variable shift by q̂.
         rec.broadcast(op, consts.vc)?;
         rec.step("12: write vc");
-        for f in exp.iter().flatten() {
+        for f in halves {
             rec.add_into(f.work.sub(0, w.poly as usize), op.sub(0, w.vc as usize))?;
             rec.shr_variable(f.work.sub(0, w.poly as usize), f.q)?;
             rec.copy(f.work.sub(0, w.vapprox as usize), f.vapprox)?;
@@ -2667,23 +1601,45 @@ impl ApSoftmax {
     fn issue_partial_reduce(
         &self,
         rec: &mut Recorder<'_, '_>,
-        exp: &[Option<ExpFields>],
+        halves: &[HalfFields],
         sumw: Field,
         den: Field,
         mark: &'static str,
     ) -> Result<RegId, ApError> {
         let w = *self.sm.widths();
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg()) as usize;
+        let sum_bits = self.sum_bits() as usize;
         let vap_low = (w.vapprox as usize).min(sum_bits);
-        let vap0 = exp[0].as_ref().expect("half 0 allocated").vapprox;
-        rec.copy(vap0.sub(0, vap_low), sumw)?;
-        if let Some(f1) = exp.get(1).and_then(Option::as_ref) {
+        rec.copy(halves[0].vapprox.sub(0, vap_low), sumw)?;
+        if let Some(f1) = halves.get(1) {
             rec.add_into(sumw, f1.vapprox.sub(0, vap_low))?;
         }
         let rows = rec.rows();
         let sum_reg = rec.reduce_sum(sumw, den, rows, self.overflow_mode())?;
         rec.step(mark);
         Ok(sum_reg)
+    }
+
+    /// Steps 15-16: broadcast the divisor into `den` (step `mark`) —
+    /// the sum in `sum_reg`, a wrapped sum of zero clamped to 1 to
+    /// mirror the scalar divisor clamp — then divide every half's
+    /// `v_approx` by it into its result field.
+    fn issue_divide(
+        &self,
+        rec: &mut Recorder<'_, '_>,
+        halves: &[HalfFields],
+        den: Field,
+        sum_reg: RegId,
+        mark: &'static str,
+    ) -> Result<(), ApError> {
+        let den_reg = rec.reg_max1(sum_reg);
+        rec.broadcast_reg(den, den_reg)?;
+        rec.step(mark);
+        let f_bits = self.sm.widths().frac_bits() as usize;
+        for h in halves {
+            rec.divide(h.vapprox, den, h.res, f_bits, self.div_style)?;
+        }
+        rec.step("16: divide");
+        Ok(())
     }
 
     // ---- analytic cost queries ------------------------------------------
@@ -2697,13 +1653,10 @@ impl ApSoftmax {
         (0..len).map(|i| -((i % 97) as f64) * 7.0 / 97.0).collect()
     }
 
-    /// Resolves the vector-level cache entry for length `len`,
-    /// compiling one from [`ApSoftmax::representative_scores`] on this
-    /// thread's pooled tile if the shape has not been seen yet.
     /// The cache key a vector of `len` elements executes under:
     /// whole-vector entries are never resident (a single tile re-stages
     /// by definition); sharded entries carry the effective residency of
-    /// their partition, mirroring `execute_sharded_with`.
+    /// their partition, mirroring `execute_sharded`.
     fn vector_key(&self, len: usize) -> Result<PlanKey, CoreError> {
         if self.autotune {
             return Ok(self.tuned_key(len));
@@ -2716,15 +1669,7 @@ impl ApSoftmax {
         } else {
             false
         };
-        Ok(PlanKey {
-            len,
-            layout: self.layout,
-            div: self.div_style,
-            opt: self.opt_level,
-            phase: PlanPhase::Vector,
-            resident,
-            tuned: false,
-        })
+        Ok(self.plan_key(len, PlanPhase::Vector, resident))
     }
 
     /// The key an autotuned vector-level entry lives under: the
@@ -2733,16 +1678,14 @@ impl ApSoftmax {
     /// key stays a pure function of the configuration).
     pub(crate) fn tuned_key(&self, len: usize) -> PlanKey {
         PlanKey {
-            len,
-            layout: self.layout,
-            div: self.div_style,
-            opt: self.opt_level,
-            phase: PlanPhase::Vector,
-            resident: false,
             tuned: true,
+            ..self.plan_key(len, PlanPhase::Vector, false)
         }
     }
 
+    /// Resolves the vector-level cache entry for length `len`,
+    /// compiling one from [`ApSoftmax::representative_scores`] on this
+    /// thread's pooled tile if the shape has not been seen yet.
     fn resolve_vector_entry(&self, len: usize) -> Result<CachedPlan, CoreError> {
         if len == 0 {
             return Err(CoreError::EmptyInput);
@@ -2759,7 +1702,7 @@ impl ApSoftmax {
             let mut run = ApSoftmaxRun::default();
             let mut codes = std::mem::take(&mut state.codes);
             self.sm.quantize_into(&scores, &mut codes);
-            let result = self.execute_codes_mode(&mut state, &codes, &mut run, PlanMode::Cached);
+            let result = self.execute_codes_mode(&mut state, &codes, &mut run, PlanMode::Cached, 1);
             state.codes = codes;
             result
         })?;

@@ -51,9 +51,7 @@
 
 use std::sync::Arc;
 
-use super::{
-    ApSoftmax, ApSoftmaxRun, CoreError, Layout, PlanMode, ShardExec, TileState, VectorCost,
-};
+use super::{ApSoftmax, ApSoftmaxRun, CoreError, Layout, PlanMode, TileState, VectorCost};
 use crate::plan::{CachedPlan, CandidateScore, MappingChoice, TunedPlan};
 
 /// Environment variable enabling/disabling the mapping autotuner:
@@ -62,28 +60,6 @@ use crate::plan::{CachedPlan, CandidateScore, MappingChoice, TunedPlan};
 /// mappings per shape and installs the statically cheapest bit-exact
 /// winner. Invalid values warn once and keep the default.
 pub const AUTOTUNE_ENV: &str = "SOFTMAP_AUTOTUNE";
-
-/// Reads [`AUTOTUNE_ENV`]; invalid values fail loudly (one warning per
-/// process) instead of silently falling back.
-pub(crate) fn autotune_from_env() -> bool {
-    let Ok(raw) = std::env::var(AUTOTUNE_ENV) else {
-        return true;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "false" => false,
-        "1" | "true" => true,
-        _ => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {AUTOTUNE_ENV}={raw:?}; accepted values are \
-                     0/false/1/true — keeping the default (1)"
-                );
-            });
-            true
-        }
-    }
-}
 
 /// One enumerated candidate: a layout plus an optional explicit shard
 /// partition (`None` = whatever the untuned path derives — the whole
@@ -101,55 +77,13 @@ struct Candidate {
 const BALANCED_SPREAD: usize = 2;
 
 impl ApSoftmax {
-    /// The cached-mode entry point when autotuning is on: resolve (or
-    /// search and install) the shape's [`TunedPlan`], then replay its
-    /// winner. Mirrors the slot/get/lock protocol of the untuned
-    /// compile paths so the steady state stays lock-free and
-    /// zero-alloc.
-    pub(crate) fn execute_autotuned(
-        &self,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-    ) -> Result<(), CoreError> {
-        let key = self.tuned_key(codes.len());
-        let token = self.plans.slot_token();
-        if let Some((slot_token, slot_key, CachedPlan::Tuned(plan))) = state.plan.as_ref() {
-            if *slot_token == token && *slot_key == key {
-                self.plans.note_hit();
-                let plan = Arc::clone(plan);
-                return self.replay_tuned(&plan, state, codes, run);
-            }
-        }
-        if let Some(CachedPlan::Tuned(plan)) = self.plans.get(&key) {
-            state.plan = Some((token, key, CachedPlan::Tuned(Arc::clone(&plan))));
-            return self.replay_tuned(&plan, state, codes, run);
-        }
-        // Shape miss: search under the compile lock so racing workers
-        // run one search, not one each.
-        let compile_guard = self.plans.lock_for_compile();
-        if let Some(CachedPlan::Tuned(plan)) = self.plans.get(&key) {
-            drop(compile_guard);
-            state.plan = Some((token, key, CachedPlan::Tuned(Arc::clone(&plan))));
-            return self.replay_tuned(&plan, state, codes, run);
-        }
-        let tuned = self.search_mappings(codes)?;
-        self.plans
-            .note_autotune(tuned.scores.len() as u64, tuned.improved());
-        self.plans
-            .insert(key, CachedPlan::Tuned(Arc::clone(&tuned)));
-        drop(compile_guard);
-        state.plan = Some((token, key, CachedPlan::Tuned(Arc::clone(&tuned))));
-        self.replay_tuned(&tuned, state, codes, run)
-    }
-
     /// Compiles and scores every candidate mapping for this input,
     /// returning the winner wrapped in a [`TunedPlan`]. Candidates
     /// execute on throwaway views (fresh scratch cache each, so the
     /// main cache sees exactly one insert per tuned shape) against the
     /// *actual* input, which both anchors the winner's static cost to
     /// it and verifies bit-exactness against the default mapping.
-    fn search_mappings(&self, codes: &[i64]) -> Result<Arc<TunedPlan>, CoreError> {
+    pub(super) fn search_mappings(&self, codes: &[i64]) -> Result<Arc<TunedPlan>, CoreError> {
         let started = std::time::Instant::now();
         let len = codes.len();
         let candidates = self.enumerate_candidates(len);
@@ -162,7 +96,7 @@ impl ApSoftmax {
             let view = self.candidate_view(cand);
             let mut crun = ApSoftmaxRun::default();
             if let Err(e) =
-                view.execute_codes_mode(&mut scratch_state, codes, &mut crun, PlanMode::Cached)
+                view.execute_codes_mode(&mut scratch_state, codes, &mut crun, PlanMode::Cached, 1)
             {
                 if default_cost.is_none() {
                     // The default mapping (candidate zero) must work;
@@ -311,62 +245,5 @@ impl ApSoftmax {
         view.partition_override = cand.partition.clone();
         view.plans = Arc::new(crate::plan::PlanCache::new());
         view
-    }
-
-    /// Replays a tuned plan's winner: packs the input by the winner's
-    /// layout (not the configured one) and takes the ordinary
-    /// whole-vector or sharded replay path. Zero-alloc in steady state,
-    /// like any other replay.
-    fn replay_tuned(
-        &self,
-        tuned: &TunedPlan,
-        state: &mut TileState,
-        codes: &[i64],
-        run: &mut ApSoftmaxRun,
-    ) -> Result<(), CoreError> {
-        match &tuned.plan {
-            CachedPlan::Program(plan) => {
-                let plan = Arc::clone(plan);
-                let total_len = codes.len();
-                let (packed, rows) = Self::packing_of(tuned.choice.layout, total_len);
-                state.half0.clear();
-                state
-                    .half0
-                    .extend(codes[..rows].iter().map(|&c| c.unsigned_abs()));
-                state.half1.clear();
-                if packed {
-                    state
-                        .half1
-                        .extend(codes[rows..].iter().map(|&c| c.unsigned_abs()));
-                }
-                let TileState {
-                    tile,
-                    half0,
-                    half1,
-                    scratch,
-                    ..
-                } = state;
-                let halves_arr: [&[u64]; 2] = [half0.as_slice(), half1.as_slice()];
-                let halves = if packed {
-                    &halves_arr[..]
-                } else {
-                    &halves_arr[..1]
-                };
-                self.replay_plan(&plan, tile, scratch, halves, total_len, run)
-            }
-            CachedPlan::Sharded(plan) => {
-                let plan = Arc::clone(plan);
-                self.run_sharded(
-                    state,
-                    codes,
-                    run,
-                    &plan.ranges,
-                    ShardExec::Replay(&plan),
-                    plan.resident,
-                    tuned.choice.layout,
-                )
-            }
-            CachedPlan::Tuned(_) => unreachable!("tuned plans never nest"),
-        }
     }
 }

@@ -1,367 +1,433 @@
-//! Shard-parallel host execution: the three phases of one long vector
-//! fanned across host workers over disjoint output slices.
+//! Sharded execution: the three-phase dataflow of one long vector
+//! across the device's tile grid, written once for every host
+//! schedule.
 //!
-//! Sequential sharded replay ([`ApSoftmax::run_sharded`]) walks the
-//! shards of a long vector one at a time, so a 32k-element request
-//! holds its host worker for the whole vector. This module replays the
-//! *same cached sharded plan* with the shards split into contiguous
-//! per-worker chunks: every worker owns its shards' tiles, staging
-//! buffers, and output slices exclusively, and the workers meet exactly
-//! twice — at the dataflow's two cross-tile synchronization points (the
-//! global-minimum and partial-sum reductions), realized as
-//! [`std::sync::Barrier`] waits over lock-free atomic deposit arrays.
+//! A vector whose rows exceed one tile splits into shards
+//! ([`softmap_ap::DeviceConfig::partition_into`]) and runs as three phases joined
+//! by two cross-tile reductions (Fig. 5 adapted to a tile grid):
 //!
-//! The fan-out is **replay-only**: a shape whose sharded plan is not
-//! cached yet (or whose autotuned winner is a whole-vector program)
-//! falls back to the ordinary sequential path, which compiles and
-//! caches it; the next vector of the shape fans out. Results are
-//! bit-exact and cost-identical versus sequential replay — the shard
-//! programs, replay pricing ([`super::phase_replay`]), reduction
-//! charges, and wave-scheduled latency are all the same, merely
-//! evaluated concurrently — which the differential tests in
-//! `crates/core/tests/serve.rs` assert step for step.
+//! 1. **min** — every shard loads its slice and min-searches it; the
+//!    shard minima combine over the reduction network into the global
+//!    minimum;
+//! 2. **exp** — every shard subtracts the global minimum (a program
+//!    scalar input), runs the integer exponential, and tree-reduces its
+//!    partial sum; the partials combine, in the scalar spec's overflow
+//!    mode, into the divisor;
+//! 3. **divide** — every shard divides its `v_approx` slice by the
+//!    broadcast divisor.
 //!
-//! Worker errors cannot deadlock the barriers: a failing worker records
-//! its error, raises the shared cancel flag, and keeps participating in
-//! every remaining barrier while skipping the work.
+//! Bit-exactness versus the scalar spec holds because the global
+//! minimum is the min of the shard minima and the saturating/wrapping
+//! sum of non-negative values is order-independent. The cost contract
+//! charges each shard's phase programs plus the deterministic
+//! reduction-network formula; the device critical path adds wave
+//! scheduling when shards exceed the grid.
+//!
+//! # One schedule, one or many chunks
+//!
+//! The shards split into contiguous *chunks*, each with its own
+//! persistent state (tiles, staging buffers, program scratch,
+//! per-phase step accounting). A chunk runs "phase over my shards,
+//! sync, reduce" twice and finishes with the divide; every shard
+//! deposits its result scalar and phase cycles into a lock-free
+//! per-shard array. One epilogue then merges the chunks in shard order:
+//! outputs, reduction charges, steps in first-appearance order, and
+//! the wave-scheduled critical path.
+//!
+//! * **Sequential** execution is one chunk over all shards with no
+//!   barrier. It alone may issue directly ([`PlanMode::DirectIssue`])
+//!   or compile (record each shard shape's phase programs into a
+//!   [`ShardedPlan`]).
+//! * **Fan-out** (serving workers with
+//!   [`crate::ServeConfig::shard_parallel`]) replays a cached plan as N
+//!   chunks on N host threads, which meet at the two reductions behind
+//!   a [`Barrier`]. A shape whose plan is not cached yet runs (and
+//!   compiles) sequentially; its next vector fans out.
+//!
+//! Both produce identical outputs, `CycleStats`, steps and latency,
+//! because they run the same per-shard step and the same epilogue. A
+//! failing chunk records its error, raises the shared cancel flag, and
+//! keeps reaching every remaining barrier while skipping the work, so
+//! no chunk can deadlock.
+//!
+//! # Residency
+//!
+//! A vector whose shards fit the grid in one wave executes *resident*
+//! by default ([`ApSoftmax::with_resident`]): each shard keeps one
+//! pinned tile across the three phases at the whole-vector field
+//! layout. The exp and divide phases re-arm that tile and read the
+//! planes the previous phase left behind instead of re-staging them,
+//! and same-length followers are charged in SIMD lockstep. Otherwise
+//! every phase re-stages its inputs on a cleared tile at a phase-local
+//! layout.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use softmap_ap::batch;
-use softmap_ap::device;
-use softmap_ap::program::ProgramScratch;
-use softmap_ap::{ApTile, CycleStats};
+use softmap_ap::program::{optimizer, ExecIo, ProgramScratch, Recorder};
+use softmap_ap::{batch, device, ApProgram, ApTile, CycleStats, Field, PassReport, RegId};
 
 use super::{
-    accumulate_step, phase_replay, ApSoftmax, ApSoftmaxRun, Layout, PlanMode, StepStats, TileState,
+    stage_halves, ApSoftmax, ApSoftmaxRun, FieldSet, HalfFields, Layout, PlanMode, StepStats,
+    TileState,
 };
-use crate::plan::{CachedPlan, PlanKey, PlanPhase, ShardedPlan};
+use crate::plan::{CachedPlan, CompiledPlan, PlanPhase, ShardedPlan};
 use crate::CoreError;
 
-/// Per-worker persistent execution state for the shard-parallel
-/// fan-out: the worker's tile pool (one pinned tile per owned shard
-/// when the plan is resident, one reused tile otherwise), staging
-/// buffers, program scratch, per-phase step/cycle accounting, and the
-/// error slot. Buffer capacities persist across vectors, like
-/// [`TileState`]'s.
-#[derive(Debug, Default)]
-struct ShardWorker {
+/// The three shard phases in dataflow order: index `k` of a
+/// [`ShardedPlan`]'s phase programs, of a chunk's step lists, and of a
+/// shard's deposits.
+const SHARD_PHASES: [PlanPhase; 3] = [
+    PlanPhase::ShardMin,
+    PlanPhase::ShardExp,
+    PlanPhase::ShardDiv,
+];
+
+/// Reusable sharded-execution state, owned by a [`TileState`]: the
+/// per-chunk states, the per-shard deposits the chunks exchange at the
+/// reductions, and partition and wave-scheduler scratch. Capacities
+/// persist across vectors, so steady-state sharded replay performs
+/// zero heap allocations.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ShardPool {
+    chunks: Vec<ShardChunk>,
+    deposits: Vec<ShardDeposit>,
+    ranges: Vec<(usize, usize)>,
+    cycles: Vec<u64>,
+    loads: Vec<u64>,
+}
+
+/// One chunk's persistent state.
+#[derive(Debug, Clone, Default)]
+struct ShardChunk {
+    /// Resident: one pinned tile per owned shard, kept for the
+    /// vector's lifetime so the phases' planes survive between them.
+    /// Re-staged: one tile every phase re-acquires. The pool only
+    /// grows.
     tiles: Vec<ApTile>,
     scratch: ProgramScratch,
     half0: Vec<u64>,
     half1: Vec<u64>,
-    /// Per-shard replay output staging (program reads append to a
-    /// `Vec`; the worker copies it into its disjoint output slice).
-    tmp: Vec<u64>,
+    /// The owned shards' outputs, in shard order.
+    codes: Vec<u64>,
+    vapprox: Vec<u64>,
+    /// Per-phase step breakdown (indexed like [`SHARD_PHASES`]).
     steps: [Vec<StepStats>; 3],
-    stats: CycleStats,
-    rows_max: usize,
-    cols_max: usize,
+    total: CycleStats,
+    rows: usize,
+    cols_used: usize,
+    /// The combined partial sum (the divisor before clamping).
+    sum: u64,
     err: Option<CoreError>,
 }
 
-/// Reusable state for the shard-parallel fan-out: the worker pool plus
-/// the cross-worker deposit arrays (shard minima, partial sums,
-/// per-phase cycles) the two synchronization points exchange. All
-/// capacities persist across vectors.
+/// One shard's deposits, per phase: the result scalar (shard minimum,
+/// partial sum, divisor input) and the phase's cycles. Atomic, so
+/// concurrent chunks write disjoint entries without locks. `Relaxed`
+/// suffices: each barrier wait (and, for the epilogue, the join of the
+/// scoped chunk threads) orders every write before the reads.
 #[derive(Debug, Default)]
-pub(crate) struct FanoutState {
-    workers: Vec<ShardWorker>,
-    minima: Vec<AtomicU64>,
-    partials: Vec<AtomicU64>,
-    phase_cycles: [Vec<AtomicU64>; 3],
-    /// Wave-scheduler tile-load scratch (as `ShardScratch::loads`).
-    loads: Vec<u64>,
-    /// Staging for one phase's deposited cycle counts.
-    pc: Vec<u64>,
-    /// Shard-partition scratch for plan resolution.
-    ranges: Vec<(usize, usize)>,
+struct ShardDeposit {
+    result: [AtomicU64; 3],
+    cycles: [AtomicU64; 3],
 }
 
-fn grow_atomics(v: &mut Vec<AtomicU64>, n: usize) {
-    if v.len() < n {
-        v.resize_with(n, || AtomicU64::new(0));
-    }
-}
-
-impl FanoutState {
-    fn ensure(&mut self, shards: usize, workers: usize) {
-        if self.workers.len() < workers {
-            self.workers.resize_with(workers, ShardWorker::default);
-        }
-        grow_atomics(&mut self.minima, shards);
-        grow_atomics(&mut self.partials, shards);
-        for pc in &mut self.phase_cycles {
-            grow_atomics(pc, shards);
+impl Clone for ShardDeposit {
+    fn clone(&self) -> Self {
+        let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
+        Self {
+            result: self.result.each_ref().map(copy),
+            cycles: self.cycles.each_ref().map(copy),
         }
     }
 }
 
-/// One worker's view of the fan-out: its contiguous shard chunk, its
-/// disjoint slices of the run's output buffers, and its persistent
-/// state.
-struct WorkerArg<'a> {
-    state: &'a mut ShardWorker,
-    /// Owned shards: `ranges[chunk.0..chunk.1]`.
-    chunk: (usize, usize),
-    /// First owned element (`ranges[chunk.0].0`) — offsets the slices.
-    base: usize,
-    codes_out: &'a mut [u64],
-    vap_out: &'a mut [u64],
+impl ShardPool {
+    /// Grows the pool for `chunks` chunks over `ranges`.
+    fn ensure(&mut self, ranges: &[(usize, usize)], chunks: usize, resident: bool) {
+        if self.chunks.len() < chunks {
+            self.chunks.resize_with(chunks, ShardChunk::default);
+        }
+        if self.deposits.len() < ranges.len() {
+            self.deposits
+                .resize_with(ranges.len(), ShardDeposit::default);
+        }
+        for (j, chunk) in self.chunks[..chunks].iter_mut().enumerate() {
+            let (cs, ce) = chunk_bounds(ranges.len(), chunks, j);
+            let tiles = if resident { ce - cs } else { 1 };
+            if chunk.tiles.len() < tiles {
+                chunk.tiles.resize_with(tiles, ApTile::new);
+            }
+        }
+    }
 }
 
-/// Shared read-only context one fan-out's workers execute under.
-struct FanoutCtx<'a> {
-    plan: &'a ShardedPlan,
-    layout: Layout,
+/// Shards `[cs, ce)` of chunk `j`: contiguous near-even chunks keep a
+/// stable shard → chunk affinity, so resident tile pools stay warm
+/// across vectors of a shape (`chunks ≤ shards` ⇒ none is empty).
+fn chunk_bounds(shards: usize, chunks: usize, j: usize) -> (usize, usize) {
+    (j * shards / chunks, (j + 1) * shards / chunks)
+}
+
+/// What every chunk of one sharded vector shares.
+struct Schedule<'a> {
     codes: &'a [i64],
-    barrier: &'a Barrier,
-    cancel: &'a AtomicBool,
-    minima: &'a [AtomicU64],
-    partials: &'a [AtomicU64],
-    phase_cycles: &'a [Vec<AtomicU64>; 3],
+    ranges: &'a [(usize, usize)],
+    resident: bool,
+    layout: Layout,
+    chunks: usize,
+    deposits: &'a [ShardDeposit],
+    /// `None` for a single chunk: nothing to wait for.
+    barrier: Option<Barrier>,
+    cancel: AtomicBool,
+}
+
+/// How the schedule executes each shard's phase program.
+pub(super) enum ShardExec<'a> {
+    /// Issue every op directly (no cache, no recording) — the
+    /// differential-testing baseline.
+    Direct,
+    /// Replay the cached sharded plan's phase programs.
+    Replay(&'a ShardedPlan),
+    /// Get-or-record each shard shape's phase program while executing,
+    /// collecting them per phase for the sharded plan under
+    /// construction.
+    Compile(&'a mut [Vec<Arc<CompiledPlan>>; 3]),
+}
+
+/// Replay pricing of one shard's phase program: full price (leaders),
+/// the hoisted-broadcast discount (re-staged followers), or the
+/// wave-lockstep discount (resident followers).
+#[derive(Clone, Copy)]
+enum PhaseReplay {
+    Full,
+    Hoisted,
+    Lockstep,
+}
+
+/// Replay pricing for shard `i`. Every shard after the first
+/// occurrence of its length is a *follower* sharing that leader's
+/// device-wide drivers: re-staged followers ride the broadcast of
+/// shard-invariant operands for free ([`ApProgram::replay_resident`]);
+/// resident followers execute in SIMD lockstep and are charged only
+/// their input staging ([`ApProgram::replay_lockstep`]). Leaders pay
+/// full price (their recording execution anchors the phase program's
+/// cost). The rule is a pure function of the partition, so
+/// compile-time totals and replay totals agree.
+fn phase_replay(ranges: &[(usize, usize)], i: usize, resident: bool) -> PhaseReplay {
+    let len = ranges[i].1 - ranges[i].0;
+    match (ranges[..i].iter().any(|&(s, e)| e - s == len), resident) {
+        (false, _) => PhaseReplay::Full,
+        (true, false) => PhaseReplay::Hoisted,
+        (true, true) => PhaseReplay::Lockstep,
+    }
+}
+
+/// Accumulates one step's cost into the named entry of `steps`
+/// (appending on first sight), so the per-shard repetitions of a phase
+/// step merge into one entry.
+fn accumulate_step(steps: &mut Vec<StepStats>, name: &'static str, stats: CycleStats) {
+    if let Some(s) = steps.iter_mut().find(|s| s.name == name) {
+        s.stats.accumulate(&stats);
+    } else {
+        steps.push(StepStats { name, stats });
+    }
+}
+
+/// One shard phase's direct issue.
+struct IssuedPhase {
+    stats: CycleStats,
+    cols_used: usize,
+    /// The result register's value: shard minimum, partial sum, or
+    /// the divisor input.
+    result: u64,
+    /// Per half, the field holding the phase's input plane — what a
+    /// resident recost prestages.
+    inputs_at: [Field; 2],
+    program: Option<(ApProgram, RegId)>,
 }
 
 impl ApSoftmax {
-    /// Executes `codes` with the shards of a long vector fanned across
-    /// up to `threads` host workers (see the module docs). Falls back
-    /// to the ordinary sequential path on `state` whenever the fan-out
-    /// does not apply: unsharded shapes, direct-issue mode, a plan not
-    /// cached yet (the fallback compiles it), an autotuned winner that
-    /// is not sharded, or a single effective worker.
+    /// [`ApSoftmax::execute_codes_into`] with a long vector's cached
+    /// replay fanned across up to `threads` host threads (see the
+    /// module docs). Everything else — unsharded shapes, direct issue,
+    /// a plan not cached yet, a single thread — runs sequentially.
     ///
     /// # Errors
     ///
-    /// As [`ApSoftmax::execute_codes_into`]; on the fan-out path, the
-    /// lowest-indexed failing worker's error.
+    /// As [`ApSoftmax::execute_codes_into`]; on the fan-out, the
+    /// lowest-indexed failing chunk's error.
     pub(crate) fn execute_codes_fanout(
         &self,
         state: &mut TileState,
-        pool: &mut FanoutState,
         codes: &[i64],
         run: &mut ApSoftmaxRun,
         threads: usize,
     ) -> Result<(), CoreError> {
-        if codes.is_empty() {
-            return Err(CoreError::EmptyInput);
-        }
-        self.sm.validate_codes(codes)?;
-        let Some((plan, layout)) = self.resolve_fanout_plan(codes.len(), pool)? else {
-            return self.execute_codes_into(state, codes, run);
-        };
-        let workers = threads.max(1).min(plan.ranges.len());
-        if workers <= 1 {
-            return self.execute_codes_into(state, codes, run);
-        }
-        self.plans.note_hit();
-        self.run_fanout(pool, &plan, layout, codes, run, workers)
+        self.execute_codes_mode(state, codes, run, self.plan_mode, threads)
     }
 
-    /// Resolves the cached sharded plan (and the layout its shards
-    /// stage under) that a fan-out of `len` elements replays, without
-    /// compiling anything: `None` routes to the sequential fallback.
-    /// Mirrors the cached-mode resolution of
-    /// [`ApSoftmax::execute_codes_mode`] / `execute_autotuned` as a
-    /// pure observer.
-    fn resolve_fanout_plan(
+    /// Executes a vector that exceeds one tile's row capacity: resolves
+    /// its partition, then issues it directly or replays (compiling on
+    /// first sight) its cached sharded plan.
+    pub(super) fn execute_sharded(
         &self,
-        len: usize,
-        pool: &mut FanoutState,
-    ) -> Result<Option<(Arc<ShardedPlan>, Layout)>, CoreError> {
-        if self.plan_mode != PlanMode::Cached {
-            return Ok(None);
-        }
-        if self.autotune {
-            return Ok(match self.plans.peek(&self.tuned_key(len)) {
-                Some(CachedPlan::Tuned(t)) => match &t.plan {
-                    CachedPlan::Sharded(p) => Some((Arc::clone(p), t.choice.layout)),
-                    _ => None,
-                },
-                _ => None,
-            });
-        }
-        let (_, rows) = self.packing(len);
-        if rows <= self.device.rows_per_tile {
-            return Ok(None);
-        }
-        let mut ranges = std::mem::take(&mut pool.ranges);
-        let part = self.effective_partition(len, &mut ranges);
-        let shards = ranges.len();
-        pool.ranges = ranges;
-        part?;
-        let resident = self.resident_for(shards);
-        let vkey = PlanKey {
-            len,
-            layout: self.layout,
-            div: self.div_style,
-            opt: self.opt_level,
-            phase: PlanPhase::Vector,
-            resident,
-            tuned: false,
-        };
-        Ok(match self.plans.peek(&vkey) {
-            // A plan compiled for a different partition (a
-            // `partition_override` change) or residency mode cannot fan
-            // out; the sequential path raises the mismatch error.
-            Some(CachedPlan::Sharded(p)) if p.ranges == pool.ranges && p.resident == resident => {
-                Some((p, self.layout))
-            }
-            _ => None,
-        })
-    }
-
-    /// The fan-out proper: split the plan's shards into `workers`
-    /// contiguous chunks, give each worker disjoint output slices, run
-    /// the three phases with two barrier waits, and merge the
-    /// accounting back into sequential order.
-    fn run_fanout(
-        &self,
-        pool: &mut FanoutState,
-        plan: &ShardedPlan,
-        layout: Layout,
+        state: &mut TileState,
         codes: &[i64],
         run: &mut ApSoftmaxRun,
-        workers: usize,
+        mode: PlanMode,
+        threads: usize,
     ) -> Result<(), CoreError> {
-        let ranges = &plan.ranges;
+        let mut ranges = std::mem::take(&mut state.shard.ranges);
+        let result = self
+            .effective_partition(codes.len(), &mut ranges)
+            .and_then(|()| {
+                if mode == PlanMode::DirectIssue {
+                    // Direct issue stays on the re-staging path:
+                    // residency is a plan-level optimization, and the
+                    // direct-vs-replay differential baseline keeps
+                    // characterizing the re-staged contract exactly.
+                    let exec = ShardExec::Direct;
+                    return self.run_sharded(
+                        state,
+                        codes,
+                        run,
+                        &ranges,
+                        exec,
+                        false,
+                        self.layout,
+                        1,
+                    );
+                }
+                let resident = self.resident_for(ranges.len());
+                let key = self.plan_key(codes.len(), PlanPhase::Vector, resident);
+                self.execute_cached(state, codes, run, key, threads, |state, run| {
+                    let started = std::time::Instant::now();
+                    let mut plans = Default::default();
+                    let exec = ShardExec::Compile(&mut plans);
+                    self.run_sharded(state, codes, run, &ranges, exec, resident, self.layout, 1)?;
+                    let plan = Arc::new(ShardedPlan {
+                        ranges: ranges.clone(),
+                        phase_plans: plans,
+                        steps: run.steps.clone(),
+                        total: run.total,
+                        reduction: run.reduction,
+                        latency_cycles: run.latency_cycles,
+                        waves: run.waves,
+                        rows: run.rows,
+                        cols_used: run.cols_used,
+                        compile_micros: started.elapsed().as_secs_f64() * 1e6,
+                        resident,
+                    });
+                    Ok((CachedPlan::Sharded(plan), true))
+                })
+            });
+        state.shard.ranges = ranges;
+        result
+    }
+
+    /// The sharded schedule over `ranges`: one chunk when `exec` issues
+    /// directly or compiles, up to `threads` chunks on cached replay.
+    /// `resident` selects pinned shard tiles across phases versus
+    /// re-staging; `layout` is the row packing the shards stage under —
+    /// the configured layout except on tuned replay, which packs by the
+    /// winner's.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn run_sharded(
+        &self,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+        ranges: &[(usize, usize)],
+        exec: ShardExec<'_>,
+        resident: bool,
+        layout: Layout,
+        threads: usize,
+    ) -> Result<(), CoreError> {
         let shards = ranges.len();
-        let resident = plan.resident;
-        let total_len = codes.len();
-        let m_bits = self.cfg().m;
-        let sum_bits = self.sm.constants().effective_sum_bits(self.cfg());
-        pool.ensure(shards, workers);
-        let FanoutState {
-            workers: worker_pool,
-            minima,
-            partials,
-            phase_cycles,
-            loads,
-            pc,
-            ..
-        } = pool;
-
-        // Contiguous near-even chunks keep a stable shard→worker
-        // affinity, so resident tile pools stay warm across vectors of
-        // the shape (workers ≤ shards ⇒ every chunk is non-empty).
-        let chunk_start = |j: usize| j * shards / workers;
-
-        run.codes.clear();
-        run.codes.resize(total_len, 0);
-        run.vapprox.clear();
-        run.vapprox.resize(total_len, 0);
-        run.steps.clear();
-
-        let mut args: Vec<WorkerArg<'_>> = Vec::with_capacity(workers);
-        {
-            let mut codes_rest: &mut [u64] = &mut run.codes;
-            let mut vap_rest: &mut [u64] = &mut run.vapprox;
-            let mut consumed = 0usize;
-            for (j, ws) in worker_pool.iter_mut().take(workers).enumerate() {
-                let (cs, ce) = (chunk_start(j), chunk_start(j + 1));
-                let base = ranges[cs].0;
-                let end = if j + 1 == workers {
-                    total_len
-                } else {
-                    ranges[ce].0
-                };
-                let (c_mine, c_rest) = std::mem::take(&mut codes_rest).split_at_mut(end - consumed);
-                let (v_mine, v_rest) = std::mem::take(&mut vap_rest).split_at_mut(end - consumed);
-                codes_rest = c_rest;
-                vap_rest = v_rest;
-                consumed = end;
-                ws.stats = CycleStats::default();
-                ws.rows_max = 0;
-                ws.cols_max = 0;
-                ws.err = None;
-                for s in &mut ws.steps {
-                    s.clear();
-                }
-                if resident {
-                    if ws.tiles.len() < ce - cs {
-                        ws.tiles.resize_with(ce - cs, ApTile::new);
-                    }
-                } else if ws.tiles.is_empty() {
-                    ws.tiles.push(ApTile::new());
-                }
-                args.push(WorkerArg {
-                    state: ws,
-                    chunk: (cs, ce),
-                    base,
-                    codes_out: c_mine,
-                    vap_out: v_mine,
-                });
-            }
-        }
-
-        let barrier = Barrier::new(workers);
-        let cancel = AtomicBool::new(false);
-        let ctx = FanoutCtx {
-            plan,
-            layout,
-            codes,
-            barrier: &barrier,
-            cancel: &cancel,
-            minima: &minima[..shards],
-            partials: &partials[..shards],
-            phase_cycles,
+        let chunks = match exec {
+            ShardExec::Replay(_) => threads.clamp(1, shards),
+            _ => 1,
         };
-
-        batch::fan_out_with(&mut args, |_, arg| self.fanout_worker(&ctx, arg));
-
-        if let Some(err) = args.iter_mut().find_map(|a| a.state.err.take()) {
+        state.shard.ensure(ranges, chunks, resident);
+        let ShardPool {
+            chunks: states,
+            deposits,
+            cycles,
+            loads,
+            ..
+        } = &mut state.shard;
+        let states = &mut states[..chunks];
+        let sched = Schedule {
+            codes,
+            ranges,
+            resident,
+            layout,
+            chunks,
+            deposits: &deposits[..shards],
+            barrier: (chunks > 1).then(|| Barrier::new(chunks)),
+            cancel: AtomicBool::new(false),
+        };
+        match exec {
+            ShardExec::Replay(plan) if chunks > 1 => batch::fan_out_with(states, |j, chunk| {
+                self.run_chunk(&sched, j, chunk, &mut ShardExec::Replay(plan));
+            }),
+            mut exec => self.run_chunk(&sched, 0, &mut states[0], &mut exec),
+        }
+        if let Some(err) = states.iter_mut().find_map(|c| c.err.take()) {
             return Err(err);
         }
-        drop(args);
 
-        // Merge the per-worker accounting back into sequential order:
-        // phase by phase, workers in shard order, the cross-tile
-        // reduction steps between the phases — identical names,
-        // identical totals, identical first-appearance order.
-        let red_min = self.device.reduction_network(shards, m_bits);
-        let red_sum = self.device.reduction_network(shards, sum_bits);
+        // Merge the chunks in shard order: phase by phase, the
+        // cross-tile reductions between the phases. The critical path
+        // is the per-phase wave makespans plus the reduction-network
+        // cycles (under residency the followers' per-phase cycles are
+        // tiny or zero, so a makespan collapses to its wave leader).
+        let red = [
+            ("device: cross-tile min", self.cfg().m),
+            ("device: cross-tile sum", self.sum_bits()),
+        ]
+        .map(|(name, bits)| (name, self.device.reduction_network(shards, bits)));
+        run.codes.clear();
+        run.vapprox.clear();
+        run.steps.clear();
         let mut total = CycleStats::default();
-        let mut rows_max = 0usize;
-        let mut cols_max = 0usize;
-        for ws in worker_pool.iter().take(workers) {
-            total.accumulate(&ws.stats);
-            rows_max = rows_max.max(ws.rows_max);
-            cols_max = cols_max.max(ws.cols_max);
-        }
-        total.accumulate(&red_min);
-        total.accumulate(&red_sum);
-        let reductions = [
-            Some(("device: cross-tile min", red_min)),
-            Some(("device: cross-tile sum", red_sum)),
-            None,
-        ];
-        for (phase, red) in reductions.into_iter().enumerate() {
-            for ws in worker_pool.iter().take(workers) {
-                for st in &ws.steps[phase] {
+        let mut latency = 0;
+        for k in 0..SHARD_PHASES.len() {
+            for chunk in states.iter() {
+                for st in &chunk.steps[k] {
                     accumulate_step(&mut run.steps, st.name, st.stats);
                 }
             }
-            if let Some((name, stats)) = red {
+            cycles.clear();
+            cycles.extend(
+                sched
+                    .deposits
+                    .iter()
+                    .map(|d| d.cycles[k].load(Ordering::Relaxed)),
+            );
+            latency += device::wave_makespan(cycles, self.device.tiles, loads);
+            if let Some(&(name, stats)) = red.get(k) {
                 accumulate_step(&mut run.steps, name, stats);
+                total.accumulate(&stats);
+                latency += stats.cycles();
             }
         }
-
-        let combined =
-            self.combine_partials_from(ctx.partials.iter().map(|p| p.load(Ordering::Relaxed)))?;
-        let mut latency = red_min.cycles() + red_sum.cycles();
-        for pcs in phase_cycles.iter() {
-            pc.clear();
-            pc.extend(pcs[..shards].iter().map(|c| c.load(Ordering::Relaxed)));
-            latency += device::wave_makespan(pc, self.device.tiles, loads);
+        run.rows = 0;
+        run.cols_used = 0;
+        for chunk in states.iter() {
+            total.accumulate(&chunk.total);
+            run.codes.extend_from_slice(&chunk.codes);
+            run.vapprox.extend_from_slice(&chunk.vapprox);
+            run.rows = run.rows.max(chunk.rows);
+            run.cols_used = run.cols_used.max(chunk.cols_used);
         }
-        let mut reduction = red_min;
-        reduction.accumulate(&red_sum);
-
+        debug_assert_eq!(run.codes.len(), codes.len());
+        let mut reduction = red[0].1;
+        reduction.accumulate(&red[1].1);
         run.frac_bits = self.sm.widths().frac_bits();
-        run.sum = combined;
+        run.sum = states[0].sum;
         run.total = total;
-        run.rows = rows_max;
-        run.cols_used = cols_max;
         run.shards = shards;
         run.waves = self.device.waves(shards);
         run.latency_cycles = latency;
@@ -369,222 +435,453 @@ impl ApSoftmax {
         Ok(())
     }
 
-    /// One worker's three phases over its shard chunk. Mirrors the
-    /// `ShardExec::Replay` arms of [`ApSoftmax::run_sharded`] exactly:
-    /// same replay pricing, same re-arm flags, same staging rules. On
-    /// error (or a peer's cancel) the worker skips remaining work but
-    /// still reaches both barriers.
-    fn fanout_worker(&self, ctx: &FanoutCtx<'_>, arg: &mut WorkerArg<'_>) {
-        let FanoutCtx {
-            plan,
-            layout,
-            codes,
-            barrier,
-            cancel,
-            minima,
-            partials,
-            phase_cycles,
-        } = *ctx;
-        let ranges: &[(usize, usize)] = &plan.ranges;
-        let resident = plan.resident;
-        let (cs, ce) = arg.chunk;
-        let base = arg.base;
-        let no_inputs: [&[u64]; 0] = [];
-
-        // Phase 1: per-shard min search over the owned chunk.
-        for s in cs..ce {
-            if cancel.load(Ordering::Relaxed) {
-                break;
-            }
-            let (start, end) = ranges[s];
-            let (packed, rows) = Self::packing_of(layout, end - start);
-            let ws = &mut *arg.state;
-            ws.rows_max = ws.rows_max.max(rows);
-            ws.half0.clear();
-            ws.half0
-                .extend(codes[start..start + rows].iter().map(|&c| c.unsigned_abs()));
-            ws.half1.clear();
-            if packed {
-                ws.half1
-                    .extend(codes[start + rows..end].iter().map(|&c| c.unsigned_abs()));
-            }
-            let halves_arr: [&[u64]; 2] = [ws.half0.as_slice(), ws.half1.as_slice()];
-            let halves = if packed {
-                &halves_arr[..]
-            } else {
-                &halves_arr[..1]
-            };
-            let tile = if resident {
-                &mut ws.tiles[s - cs]
-            } else {
-                &mut ws.tiles[0]
-            };
-            let p = &plan.min_plans[s];
-            let mut outs: [&mut Vec<u64>; 0] = [];
-            match self.replay_shard_phase(
-                p,
-                tile,
-                &mut ws.scratch,
-                halves,
-                &[],
-                &mut outs,
-                &mut ws.steps[0],
-                phase_replay(ranges, s, resident),
-                false,
-            ) {
-                Ok(stats) => {
-                    minima[s].store(ws.scratch.reg(p.result_reg()), Ordering::Relaxed);
-                    phase_cycles[0][s].store(stats.cycles(), Ordering::Relaxed);
-                    ws.cols_max = ws.cols_max.max(p.cols_used());
-                    ws.stats.accumulate(&stats);
-                }
-                Err(e) => {
-                    ws.err = Some(e);
-                    cancel.store(true, Ordering::Relaxed);
+    /// Chunk `j`'s three phases over its shards: phase, sync, reduce —
+    /// twice — then the divide. An error (its own, or a peer's via the
+    /// cancel flag) skips the remaining work but still reaches every
+    /// barrier.
+    fn run_chunk(
+        &self,
+        sched: &Schedule<'_>,
+        j: usize,
+        chunk: &mut ShardChunk,
+        exec: &mut ShardExec<'_>,
+    ) {
+        let (cs, ce) = chunk_bounds(sched.ranges.len(), sched.chunks, j);
+        chunk.codes.clear();
+        chunk.vapprox.clear();
+        chunk.steps.iter_mut().for_each(Vec::clear);
+        chunk.total = CycleStats::default();
+        chunk.rows = 0;
+        chunk.cols_used = 0;
+        chunk.err = None;
+        let cancelled = || sched.cancel.load(Ordering::Relaxed);
+        let mut scalar = 0;
+        for k in 0..SHARD_PHASES.len() {
+            for s in cs..ce {
+                if cancelled() {
                     break;
                 }
+                if let Err(e) = self.shard_step(sched, chunk, exec, k, cs, s, scalar) {
+                    chunk.err = Some(e);
+                    sched.cancel.store(true, Ordering::Relaxed);
+                }
             }
-        }
-        barrier.wait(); // sync point 1: every shard minimum deposited
-
-        let global_min = if cancel.load(Ordering::Relaxed) {
-            0
-        } else {
-            minima
+            if k == SHARD_PHASES.len() - 1 {
+                break;
+            }
+            // Sync point k + 1: every shard's result is deposited.
+            if let Some(barrier) = &sched.barrier {
+                barrier.wait();
+            }
+            if cancelled() {
+                continue;
+            }
+            let results = sched
+                .deposits
                 .iter()
-                .map(|m| m.load(Ordering::Relaxed))
-                .min()
-                .expect("shards >= 1")
-        };
-
-        // Phase 2: exp + partial sum (global min as program scalar).
-        for s in cs..ce {
-            if cancel.load(Ordering::Relaxed) {
-                break;
-            }
-            let (start, end) = ranges[s];
-            let (packed, rows) = Self::packing_of(layout, end - start);
-            let ws = &mut *arg.state;
-            ws.half0.clear();
-            ws.half1.clear();
-            if !resident {
-                ws.half0
-                    .extend(codes[start..start + rows].iter().map(|&c| c.unsigned_abs()));
-                if packed {
-                    ws.half1
-                        .extend(codes[start + rows..end].iter().map(|&c| c.unsigned_abs()));
-                }
-            }
-            let halves_arr: [&[u64]; 2] = [ws.half0.as_slice(), ws.half1.as_slice()];
-            let replay_inputs: &[&[u64]] = if resident {
-                &no_inputs
-            } else if packed {
-                &halves_arr[..]
+                .map(|d| d.result[k].load(Ordering::Relaxed));
+            scalar = if k == 0 {
+                results.min().expect("shards >= 1")
             } else {
-                &halves_arr[..1]
-            };
-            let tile = if resident {
-                &mut ws.tiles[s - cs]
-            } else {
-                &mut ws.tiles[0]
-            };
-            let p = &plan.exp_plans[s];
-            let scalars = [global_min];
-            ws.tmp.clear();
-            let mut outs: [&mut Vec<u64>; 1] = [&mut ws.tmp];
-            match self.replay_shard_phase(
-                p,
-                tile,
-                &mut ws.scratch,
-                replay_inputs,
-                &scalars,
-                &mut outs,
-                &mut ws.steps[1],
-                phase_replay(ranges, s, resident),
-                resident,
-            ) {
-                Ok(stats) => {
-                    arg.vap_out[start - base..end - base].copy_from_slice(&ws.tmp);
-                    partials[s].store(ws.scratch.reg(p.result_reg()), Ordering::Relaxed);
-                    phase_cycles[1][s].store(stats.cycles(), Ordering::Relaxed);
-                    ws.cols_max = ws.cols_max.max(p.cols_used());
-                    ws.stats.accumulate(&stats);
+                match self.combine_partials(results) {
+                    Ok(sum) => sum,
+                    Err(e) => {
+                        // Every chunk detects the same overflow; the
+                        // epilogue keeps the lowest-indexed copy.
+                        chunk.err = Some(e);
+                        sched.cancel.store(true, Ordering::Relaxed);
+                        0
+                    }
                 }
-                Err(e) => {
-                    ws.err = Some(e);
-                    cancel.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
+            };
         }
-        barrier.wait(); // sync point 2: every partial sum deposited
+        chunk.sum = scalar;
+    }
 
-        let combined = if cancel.load(Ordering::Relaxed) {
-            Ok(0)
+    /// Shard `s`'s step of phase `k` (the chunk's first shard is `cs`):
+    /// stage its inputs, execute its phase program per `exec`, append
+    /// its output to the chunk's, and deposit its result and cycles.
+    #[allow(clippy::too_many_arguments)]
+    fn shard_step(
+        &self,
+        sched: &Schedule<'_>,
+        chunk: &mut ShardChunk,
+        exec: &mut ShardExec<'_>,
+        k: usize,
+        cs: usize,
+        s: usize,
+        scalar: u64,
+    ) -> Result<(), CoreError> {
+        let phase = SHARD_PHASES[k];
+        let (start, end) = sched.ranges[s];
+        let (packed, rows) = Self::packing_of(sched.layout, end - start);
+        let halves = 1 + usize::from(packed);
+        let ShardChunk {
+            tiles,
+            scratch,
+            half0,
+            half1,
+            codes,
+            vapprox,
+            steps,
+            ..
+        } = chunk;
+        // Host staging: the min phase always packs the scores; the exp
+        // phase re-packs them unless a resident replay finds them in the
+        // pinned tile (compiling packs them too, to prestage its
+        // recost). The divide phase's inputs are the chunk's own
+        // `v_approx` slice.
+        let staged = !sched.resident || matches!(exec, ShardExec::Compile(_));
+        let (inputs, mut out): ([&[u64]; 2], Option<&mut Vec<u64>>) = match phase {
+            PlanPhase::ShardDiv => {
+                let base = sched.ranges[cs].0;
+                let vap = &vapprox[start - base..end - base];
+                ([&vap[..rows], &vap[rows.min(vap.len())..]], Some(codes))
+            }
+            _ if phase == PlanPhase::ShardMin || staged => {
+                stage_halves(&sched.codes[start..end], sched.layout, half0, half1);
+                let out = (phase == PlanPhase::ShardExp).then_some(vapprox);
+                ([half0.as_slice(), half1.as_slice()], out)
+            }
+            _ => ([&[], &[]], Some(vapprox)),
+        };
+        let outs = match &mut out {
+            Some(out) => std::slice::from_mut(out),
+            None => &mut [],
+        };
+        let tile = &mut tiles[if sched.resident { s - cs } else { 0 }];
+        let (stats, cols_used, result) = self.shard_phase(
+            exec,
+            k,
+            s,
+            sched.ranges,
+            sched.resident,
+            tile,
+            scratch,
+            &inputs[..halves],
+            rows,
+            &[scalar],
+            outs,
+            &mut steps[k],
+        )?;
+        let deposit = &sched.deposits[s];
+        deposit.result[k].store(result, Ordering::Relaxed);
+        deposit.cycles[k].store(stats.cycles(), Ordering::Relaxed);
+        chunk.rows = chunk.rows.max(rows);
+        chunk.cols_used = chunk.cols_used.max(cols_used);
+        chunk.total.accumulate(&stats);
+        Ok(())
+    }
+
+    /// Executes shard `i`'s phase-`k` program per `exec` — the one
+    /// per-shard dispatch. A compile-time cache hit (an earlier shard
+    /// or vector compiled this shard shape's phase program) is a replay
+    /// of the peeked plan; a miss records the phase, optimizes it, and
+    /// caches it. `inputs` hold one staged plane per half (empty when a
+    /// resident replay skipped staging). Returns the phase stats,
+    /// columns used, and result scalar.
+    #[allow(clippy::too_many_arguments)]
+    fn shard_phase<'d>(
+        &self,
+        exec: &mut ShardExec<'_>,
+        k: usize,
+        i: usize,
+        ranges: &[(usize, usize)],
+        resident: bool,
+        tile: &mut ApTile,
+        scratch: &mut ProgramScratch,
+        inputs: &[&'d [u64]],
+        rows: usize,
+        scalars: &[u64],
+        outs: &mut [&'d mut Vec<u64>],
+        steps: &mut Vec<StepStats>,
+    ) -> Result<(CycleStats, usize, u64), CoreError> {
+        let phase = SHARD_PHASES[k];
+        // Resident exp and divide phases read the planes the previous
+        // phase left in the pinned tile: no host inputs.
+        let rearm = resident && phase != PlanPhase::ShardMin;
+        let io_inputs = if rearm { &[][..] } else { inputs };
+        let peeked;
+        let plan: &CompiledPlan = match exec {
+            ShardExec::Direct => {
+                let issued = self.issue_shard_phase(
+                    phase,
+                    false,
+                    tile,
+                    scratch,
+                    inputs,
+                    inputs.len(),
+                    rows,
+                    scalars,
+                    outs,
+                    steps,
+                    false,
+                )?;
+                return Ok((issued.stats, issued.cols_used, issued.result));
+            }
+            ShardExec::Replay(plan) => &plan.phase_plans[k][i],
+            ShardExec::Compile(plans) => {
+                let key = self.plan_key(ranges[i].1 - ranges[i].0, phase, resident);
+                if let Some(CachedPlan::Program(p)) = self.plans.peek(&key) {
+                    plans[k].push(Arc::clone(&p));
+                    peeked = p;
+                    &peeked
+                } else {
+                    let steps_snapshot = steps.clone();
+                    let out_mark = outs.first().map_or(0, |o| o.len());
+                    let started = std::time::Instant::now();
+                    let issued = self.issue_shard_phase(
+                        phase,
+                        resident,
+                        tile,
+                        scratch,
+                        io_inputs,
+                        inputs.len(),
+                        rows,
+                        scalars,
+                        outs,
+                        steps,
+                        true,
+                    )?;
+                    let (mut program, reg) = issued.program.expect("recording returns a program");
+                    // A resident recost re-creates the pre-phase plane
+                    // state on a cleared tile by prestaging the planes
+                    // the previous phase left behind.
+                    let prestage: Vec<(Field, &[u64])> = if rearm {
+                        issued
+                            .inputs_at
+                            .into_iter()
+                            .zip(inputs.iter().copied())
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    let (report, stats, result) = self.optimize_phase(
+                        &mut program,
+                        reg,
+                        tile,
+                        scratch,
+                        io_inputs,
+                        scalars,
+                        outs,
+                        &[out_mark],
+                        &prestage,
+                        steps,
+                        steps_snapshot,
+                        issued.stats,
+                    )?;
+                    let micros = started.elapsed().as_secs_f64() * 1e6;
+                    let p = CompiledPlan::new(program, reg, rows, issued.cols_used, report, micros);
+                    let p = Arc::new(p);
+                    self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
+                    plans[k].push(p);
+                    return Ok((stats, issued.cols_used, result));
+                }
+            }
+        };
+        let stats = self.replay_shard_phase(
+            plan,
+            tile,
+            scratch,
+            io_inputs,
+            scalars,
+            outs,
+            steps,
+            phase_replay(ranges, i, resident),
+            rearm,
+        )?;
+        Ok((stats, plan.cols_used(), scratch.reg(plan.result_reg())))
+    }
+
+    /// Issues shard phase `phase` on `tile`, optionally recording it —
+    /// the one issuer per phase, parameterised by field geometry
+    /// ([`FieldSet::shard`]). Re-staged, the phase acquires a cleared
+    /// tile at its own fields and loads `inputs` (the shard's scores,
+    /// or its `v_approx` slice for the divide). Resident, it runs at
+    /// the whole-vector layout: the min phase acquires the pinned tile
+    /// and loads the scores (the only host staging of the resident
+    /// lifetime), while the exp and divide phases re-arm it and read
+    /// the planes the previous phase left behind, with no loads.
+    /// Scalar input 0 carries the global minimum (exp) or the combined
+    /// sum (divide); output slot 0 receives `v_approx` (exp) or the
+    /// codes (divide).
+    #[allow(clippy::too_many_arguments)]
+    fn issue_shard_phase<'d>(
+        &self,
+        phase: PlanPhase,
+        resident: bool,
+        tile: &mut ApTile,
+        scratch: &mut ProgramScratch,
+        inputs: &[&'d [u64]],
+        halves: usize,
+        rows: usize,
+        scalars: &[u64],
+        outs: &mut [&'d mut Vec<u64>],
+        steps: &mut Vec<StepStats>,
+        record: bool,
+    ) -> Result<IssuedPhase, CoreError> {
+        let rearm = resident && phase != PlanPhase::ShardMin;
+        let set = FieldSet::shard(phase, resident);
+        let (ap, f) = self.alloc_fields(tile, set, halves, rows, rearm)?;
+        let fields = &f.halves[..halves];
+        let result;
+        let program;
+        {
+            let mut on_step =
+                |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
+            let io = ExecIo::new(inputs, outs).with_scalars(scalars);
+            let mut rec = Recorder::new(ap, io, scratch, &mut on_step, record);
+            result = match phase {
+                PlanPhase::ShardMin => {
+                    for (slot, h) in fields.iter().enumerate() {
+                        rec.load(h.x, slot)?;
+                    }
+                    rec.step("shard: write v");
+                    let min = Self::issue_min_search(&mut rec, fields);
+                    rec.step("shard: min search");
+                    min
+                }
+                PlanPhase::ShardExp => {
+                    if !resident {
+                        for (slot, h) in fields.iter().enumerate() {
+                            rec.load(h.x, slot)?;
+                        }
+                        rec.step("shard: rewrite v");
+                    }
+                    let min = rec.reg_input(0)?;
+                    Self::issue_stabilize(&mut rec, fields, f.minf, min)?;
+                    self.issue_exp_approx(&mut rec, fields, f.op)?;
+                    let mark = "14: partial reduction";
+                    let sum = self.issue_partial_reduce(&mut rec, fields, f.sumw, f.den, mark)?;
+                    for h in fields {
+                        rec.read(h.vapprox, 0)?;
+                    }
+                    sum
+                }
+                PlanPhase::ShardDiv => {
+                    let mark = if resident {
+                        "shard: write divisor"
+                    } else {
+                        for (slot, h) in fields.iter().enumerate() {
+                            rec.load(h.vapprox, slot)?;
+                        }
+                        "shard: write v_approx + divisor"
+                    };
+                    let sum = rec.reg_input(0)?;
+                    self.issue_divide(&mut rec, fields, f.den, sum, mark)?;
+                    for h in fields {
+                        rec.read(h.res, 0)?;
+                    }
+                    sum
+                }
+                PlanPhase::Vector => unreachable!("FieldSet::shard rejects the whole vector"),
+            };
+            program = rec.finish();
+        }
+        let input_of = |h: &HalfFields| {
+            if phase == PlanPhase::ShardDiv {
+                h.vapprox
+            } else {
+                h.x
+            }
+        };
+        Ok(IssuedPhase {
+            stats: ap.stats(),
+            cols_used: f.end,
+            result: scratch.reg(result),
+            inputs_at: f.halves.each_ref().map(input_of),
+            program: program.map(|p| (p, result)),
+        })
+    }
+
+    /// Replays one shard-phase program on a tile at `mode`'s pricing;
+    /// `rearm` keeps the tile's cells across the call (resident phases
+    /// re-arm their pinned tile instead of clearing it, so the previous
+    /// phase's output planes survive as this phase's inputs).
+    #[allow(clippy::too_many_arguments)]
+    fn replay_shard_phase<'d>(
+        &self,
+        plan: &CompiledPlan,
+        tile: &mut ApTile,
+        scratch: &mut ProgramScratch,
+        inputs: &[&'d [u64]],
+        scalars: &[u64],
+        outs: &mut [&'d mut Vec<u64>],
+        steps: &mut Vec<StepStats>,
+        mode: PhaseReplay,
+        rearm: bool,
+    ) -> Result<CycleStats, CoreError> {
+        let config = plan.program().config();
+        let ap = if rearm {
+            tile.rearm_resident(config, self.backend)?
         } else {
-            self.combine_partials_from(partials.iter().map(|p| p.load(Ordering::Relaxed)))
+            tile.acquire(config, self.backend)?
         };
-        let combined = match combined {
-            Ok(c) => c,
-            Err(e) => {
-                // Every worker detects the same overflow; each records
-                // it (the merge keeps the lowest-indexed copy), and no
-                // barrier remains to deadlock on.
-                arg.state.err = Some(e);
-                cancel.store(true, Ordering::Relaxed);
-                return;
-            }
-        };
-
-        // Phase 3: divide by the broadcast divisor.
-        for s in cs..ce {
-            if cancel.load(Ordering::Relaxed) {
-                break;
-            }
-            let (start, end) = ranges[s];
-            let (packed, rows) = Self::packing_of(layout, end - start);
-            let vap = &arg.vap_out[start - base..end - base];
-            let vap_halves_arr: [&[u64]; 2] = [&vap[..rows], &vap[rows.min(vap.len())..]];
-            let vap_halves_all: &[&[u64]] = if packed {
-                &vap_halves_arr[..]
-            } else {
-                &vap_halves_arr[..1]
-            };
-            let replay_inputs: &[&[u64]] = if resident { &no_inputs } else { vap_halves_all };
-            let ws = &mut *arg.state;
-            let tile = if resident {
-                &mut ws.tiles[s - cs]
-            } else {
-                &mut ws.tiles[0]
-            };
-            let p = &plan.div_plans[s];
-            let scalars = [combined];
-            ws.tmp.clear();
-            let mut outs: [&mut Vec<u64>; 1] = [&mut ws.tmp];
-            match self.replay_shard_phase(
-                p,
-                tile,
-                &mut ws.scratch,
-                replay_inputs,
-                &scalars,
-                &mut outs,
-                &mut ws.steps[2],
-                phase_replay(ranges, s, resident),
-                resident,
-            ) {
-                Ok(stats) => {
-                    arg.codes_out[start - base..end - base].copy_from_slice(&ws.tmp);
-                    phase_cycles[2][s].store(stats.cycles(), Ordering::Relaxed);
-                    ws.cols_max = ws.cols_max.max(p.cols_used());
-                    ws.stats.accumulate(&stats);
-                }
-                Err(e) => {
-                    ws.err = Some(e);
-                    cancel.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
+        let io = ExecIo::new(inputs, outs).with_scalars(scalars);
+        let on_step = |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
+        match mode {
+            PhaseReplay::Full => plan.program().replay(ap, io, scratch, on_step)?,
+            PhaseReplay::Hoisted => plan.program().replay_resident(ap, io, scratch, on_step)?,
+            PhaseReplay::Lockstep => plan.program().replay_lockstep(ap, io, scratch, on_step)?,
         }
+        Ok(ap.stats())
+    }
+
+    /// Optimizes a freshly recorded shard-phase program. When the pass
+    /// pipeline changed the trace, the recording execution's outputs
+    /// and step deltas no longer describe it: they are rolled back (to
+    /// `out_marks` / `steps_snapshot`) and one recost execution of the
+    /// fused schedule replaces them, also re-anchoring the program's
+    /// static cost. A resident phase reads planes a previous phase left
+    /// in the tile; `prestage` re-creates that pre-phase state on the
+    /// recost's cleared tile by loading `(field, data)` pairs before
+    /// the run (and resetting the statistics, so the prestage loads —
+    /// which a resident replay never performs — are not charged). The
+    /// recost total still matches a resident replay exactly because
+    /// write costs are content-independent: charging a program on a
+    /// cleared-then-prestaged tile and on a re-armed tile with stale
+    /// scratch planes prices identically. Returns the pass report plus
+    /// the (possibly re-derived) phase stats and result scalar.
+    #[allow(clippy::too_many_arguments)]
+    fn optimize_phase<'d>(
+        &self,
+        program: &mut ApProgram,
+        reg: RegId,
+        tile: &mut ApTile,
+        scratch: &mut ProgramScratch,
+        inputs: &[&'d [u64]],
+        scalars: &[u64],
+        outs: &mut [&'d mut Vec<u64>],
+        out_marks: &[usize],
+        prestage: &[(Field, &[u64])],
+        steps: &mut Vec<StepStats>,
+        steps_snapshot: Vec<StepStats>,
+        stats: CycleStats,
+    ) -> Result<(PassReport, CycleStats, u64), CoreError> {
+        let report = optimizer::optimize(program, self.opt_level);
+        if !report.changed() {
+            self.apply_blocking(program);
+            return Ok((report, stats, scratch.reg(reg)));
+        }
+        *steps = steps_snapshot;
+        for (out, &mark) in outs.iter_mut().zip(out_marks) {
+            out.truncate(mark);
+        }
+        let ap = tile.acquire(program.config(), self.backend)?;
+        for &(field, data) in prestage {
+            ap.load(field, data)?;
+        }
+        if !prestage.is_empty() {
+            ap.reset_stats();
+        }
+        program.recost(
+            ap,
+            ExecIo::new(inputs, outs).with_scalars(scalars),
+            scratch,
+            |name, stats| accumulate_step(steps, name, stats),
+        )?;
+        self.apply_blocking(program);
+        Ok((report, ap.stats(), scratch.reg(reg)))
     }
 }
 
@@ -638,13 +935,12 @@ mod tests {
             sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
             sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
             assert!(seq.shards > 1, "48 scores on 8-row tiles must shard");
-            let mut pool = FanoutState::default();
             let mut fan_state = TileState::new();
             // More workers than shards clamps; odd counts exercise the
             // uneven contiguous chunking.
             for threads in [2, 3, 16] {
                 let mut out = ApSoftmaxRun::default();
-                sm.execute_codes_fanout(&mut fan_state, &mut pool, &codes, &mut out, threads)
+                sm.execute_codes_fanout(&mut fan_state, &codes, &mut out, threads)
                     .unwrap();
                 assert_runs_equal(
                     &out,
@@ -669,9 +965,8 @@ mod tests {
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         let hits_before = sm.plan_stats().hits;
-        let mut pool = FanoutState::default();
         let mut out = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &mut pool, &codes, &mut out, 2)
+        sm.execute_codes_fanout(&mut state, &codes, &mut out, 2)
             .unwrap();
         assert_runs_equal(&out, &seq, "tuned winner");
         assert!(
@@ -693,9 +988,8 @@ mod tests {
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         sm.execute_codes_into(&mut state, &codes, &mut seq).unwrap();
         assert!(seq.shards > 1);
-        let mut pool = FanoutState::default();
         let mut out = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &mut pool, &codes, &mut out, 4)
+        sm.execute_codes_fanout(&mut state, &codes, &mut out, 4)
             .unwrap();
         assert_runs_equal(&out, &seq, "default grid 16384");
     }
@@ -709,11 +1003,10 @@ mod tests {
             .with_device(DeviceConfig::new(2, 8));
         let codes = quantized(&sm, 48);
         let mut state = TileState::new();
-        let mut pool = FanoutState::default();
 
         // First sight of a shape: the fallback compiles it.
         let mut first = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &mut pool, &codes, &mut first, 4)
+        sm.execute_codes_fanout(&mut state, &codes, &mut first, 4)
             .unwrap();
         assert!(
             sm.plan_stats().compiles >= 1,
@@ -726,27 +1019,27 @@ mod tests {
         // The shape is cached now; a second fan-out takes the parallel
         // path and matches the sequential replay exactly.
         let mut out = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &mut pool, &codes, &mut out, 4)
+        sm.execute_codes_fanout(&mut state, &codes, &mut out, 4)
             .unwrap();
         assert_runs_equal(&out, &seq, "post-compile fan-out");
 
         // A single effective worker replays sequentially.
         let mut one = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &mut pool, &codes, &mut one, 1)
+        sm.execute_codes_fanout(&mut state, &codes, &mut one, 1)
             .unwrap();
         assert_runs_equal(&one, &seq, "threads=1 fallback");
 
         // Unsharded shapes route to the whole-vector path.
         let short = quantized(&sm, 8);
         let mut whole = ApSoftmaxRun::default();
-        sm.execute_codes_fanout(&mut state, &mut pool, &short, &mut whole, 4)
+        sm.execute_codes_fanout(&mut state, &short, &mut whole, 4)
             .unwrap();
         assert_eq!(whole.shards, 1, "8 scores fit one 8-row tile");
 
         // Empty input errors identically to the sequential entry point.
         let mut sink = ApSoftmaxRun::default();
         assert!(matches!(
-            sm.execute_codes_fanout(&mut state, &mut pool, &[], &mut sink, 2),
+            sm.execute_codes_fanout(&mut state, &[], &mut sink, 2),
             Err(CoreError::EmptyInput)
         ));
     }

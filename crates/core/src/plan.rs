@@ -195,9 +195,8 @@ impl CompiledPlan {
 #[derive(Debug)]
 pub struct ShardedPlan {
     pub(crate) ranges: Vec<(usize, usize)>,
-    pub(crate) min_plans: Vec<Arc<CompiledPlan>>,
-    pub(crate) exp_plans: Vec<Arc<CompiledPlan>>,
-    pub(crate) div_plans: Vec<Arc<CompiledPlan>>,
+    /// Per shard phase (min, exp, divide), each shard's program.
+    pub(crate) phase_plans: [Vec<Arc<CompiledPlan>>; 3],
     pub(crate) steps: Vec<StepStats>,
     pub(crate) total: CycleStats,
     pub(crate) reduction: CycleStats,
@@ -277,12 +276,7 @@ impl ShardedPlan {
     pub fn block_stats(&self) -> Option<softmap_ap::BlockStats> {
         let mut agg: Option<softmap_ap::BlockStats> = None;
         let mut seen: Vec<*const CompiledPlan> = Vec::new();
-        for plan in self
-            .min_plans
-            .iter()
-            .chain(&self.exp_plans)
-            .chain(&self.div_plans)
-        {
+        for plan in self.phase_plans.iter().flatten() {
             let ptr = Arc::as_ptr(plan);
             if seen.contains(&ptr) {
                 continue;

@@ -6,8 +6,8 @@
 //! ```text
 //!  clients ──▶ submission queue ──▶ wave packing ──▶ workers
 //!  submit()     bounded ring         admission:       persistent
-//!  try_submit()  (backpressure:       claim shard      TileState /
-//!                 block or            tiles, pack       FanoutState,
+//!  try_submit()  (backpressure:       claim shard      TileState,
+//!                 block or            tiles, pack       cached and
 //!                 QueueFull)          concurrent        resident plan
 //!                                     requests into     replay; shard-
 //!                                     one device wave   parallel fan-out
@@ -27,9 +27,9 @@
 //!
 //! Requests are **bit-exact** versus the non-serving path: workers
 //! execute the same cached plans through [`ApSoftmax`], and a long
-//! vector fans its three phases across workers over disjoint output
-//! slices (`mapping::fanout`) so a single 32k request cannot stall the
-//! queue behind it. First sight of a shape warms the plan cache at
+//! vector's sharded schedule runs as several chunks on host threads
+//! (`mapping::fanout`) so a single 32k request cannot stall the queue
+//! behind it. First sight of a shape warms the plan cache at
 //! construction via [`ApSoftmax::warmup`]; the steady-state submit →
 //! execute → collect loop performs zero heap allocations for
 //! whole-vector requests (asserted by the counting-allocator test).
@@ -69,7 +69,6 @@ use std::thread::JoinHandle;
 use softmap_ap::batch;
 use softmap_ap::device::TileClocks;
 
-use crate::mapping::fanout::FanoutState;
 use crate::{ApSoftmax, ApSoftmaxRun, CacheStats, CoreError, TileState};
 
 /// Environment variable overriding the serving worker-thread count
@@ -84,34 +83,11 @@ pub const SERVE_WORKERS_ENV: &str = "SOFTMAP_SERVE_WORKERS";
 /// Invalid values warn once and keep the default.
 pub const SERVE_QUEUE_ENV: &str = "SOFTMAP_SERVE_QUEUE";
 
-/// Reads a positive-integer knob; invalid values fail loudly (one
-/// warning per process per knob) instead of silently falling back.
-fn positive_from_env(name: &'static str, warn: &'static std::sync::Once) -> Option<usize> {
-    let Ok(raw) = std::env::var(name) else {
-        return None;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            warn.call_once(|| {
-                eprintln!(
-                    "softmap: invalid {name}={raw:?}; expected a positive integer — \
-                     keeping the default"
-                );
-            });
-            None
-        }
-    }
-}
-
-fn serve_workers_from_env() -> Option<usize> {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    positive_from_env(SERVE_WORKERS_ENV, &WARN)
-}
-
-fn serve_queue_from_env() -> Option<usize> {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    positive_from_env(SERVE_QUEUE_ENV, &WARN)
+/// Reads a positive-integer knob; invalid values warn once and keep
+/// the default.
+fn positive_knob(name: &'static str) -> Option<usize> {
+    let parse = |raw: &str| raw.trim().parse::<usize>().ok().filter(|&n| n > 0);
+    batch::env_knob(name, "positive integers", "keeping the default", parse)
 }
 
 /// Construction-time configuration for a [`SoftmaxServer`].
@@ -149,10 +125,10 @@ impl ServeConfig {
     #[must_use]
     pub fn from_env() -> Self {
         let mut cfg = Self::default();
-        if let Some(w) = serve_workers_from_env() {
+        if let Some(w) = positive_knob(SERVE_WORKERS_ENV) {
             cfg.workers = w;
         }
-        if let Some(d) = serve_queue_from_env() {
+        if let Some(d) = positive_knob(SERVE_QUEUE_ENV) {
             cfg.queue_depth = d;
         }
         cfg
@@ -714,13 +690,12 @@ fn shutdown(shared: &Shared, handles: &mut Vec<JoinHandle<()>>) {
 /// settling for the queue head.
 const AFFINITY_SCAN: usize = 8;
 
-/// One worker: persistent [`TileState`] + [`FanoutState`], pulling
-/// admitted requests until shutdown drains the queue. Prefers a request
-/// matching the last executed length (plan-slot and buffer affinity)
-/// from the front of the admitted ring.
+/// One worker: a persistent [`TileState`] (whose shard pool also backs
+/// the fan-out), pulling admitted requests until shutdown drains the
+/// queue. Prefers a request matching the last executed length
+/// (plan-slot and buffer affinity) from the front of the admitted ring.
 fn worker_loop(shared: &Shared) {
     let mut tile = TileState::new();
-    let mut fan = FanoutState::default();
     let mut codes: Vec<i64> = Vec::new();
     let mut run = ApSoftmaxRun::default();
     let mut last_len = 0usize;
@@ -748,19 +723,14 @@ fn worker_loop(shared: &Shared) {
             }
         };
 
-        let res = if shared.shard_parallel && shards > 1 {
-            shared.mapping.execute_codes_fanout(
-                &mut tile,
-                &mut fan,
-                &codes,
-                &mut run,
-                batch::tile_parallelism(shards),
-            )
+        let threads = if shared.shard_parallel && shards > 1 {
+            batch::tile_parallelism(shards)
         } else {
-            shared
-                .mapping
-                .execute_codes_into(&mut tile, &codes, &mut run)
+            1
         };
+        let res = shared
+            .mapping
+            .execute_codes_fanout(&mut tile, &codes, &mut run, threads);
         last_len = codes.len();
 
         let mut q = shared.state.lock().expect("serving queue poisoned");

@@ -28,6 +28,9 @@
 //!   over disjoint output slices while respecting the cross-tile
 //!   sync points.
 //!
+//! Every `SOFTMAP_*` environment knob of the workspace parses through
+//! [`env_knob`], which keeps the fail-loudly contract in one place.
+//!
 //! The fallible variants cancel early: once any job fails, workers
 //! stop claiming new indices. Because indices are claimed in order,
 //! every index below a failing one has already been claimed and runs
@@ -64,23 +67,55 @@ pub const THREADS_ENV: &str = "SOFTMAP_THREADS";
 #[must_use]
 pub fn tile_parallelism(jobs: usize) -> usize {
     let host = || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let hw = match std::env::var(THREADS_ENV) {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                static WARN: std::sync::Once = std::sync::Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "softmap: invalid {THREADS_ENV}={raw:?}; accepted values \
-                         are positive integers — using the host parallelism"
-                    );
-                });
-                host()
-            }
-        },
-        Err(_) => host(),
-    };
+    let hw = env_knob(
+        THREADS_ENV,
+        "positive integers",
+        "using the host parallelism",
+        |raw| raw.trim().parse::<usize>().ok().filter(|&n| n > 0),
+    )
+    .unwrap_or_else(host);
     hw.min(jobs).max(1)
+}
+
+/// Reads the environment knob `name`, parsing a set value with
+/// `parse`. An unset variable reads as `None`, and so does a set value
+/// that `parse` rejects — but **loudly**: the first rejection per
+/// variable prints one stderr diagnostic naming the variable, the
+/// `accepted` spellings and the `fallback` taken instead, so a typo
+/// cannot silently run a different configuration than the one an
+/// experiment recorded. Every `SOFTMAP_*` knob of the workspace parses
+/// through this one helper.
+///
+/// # Examples
+///
+/// ```
+/// let width = softmap_par::env_knob("SOFTMAP_DOC_UNSET", "positive integers", "keeping 4", |raw| {
+///     raw.trim().parse::<usize>().ok()
+/// });
+/// assert_eq!(width.unwrap_or(4), 4);
+/// ```
+pub fn env_knob<T>(
+    name: &'static str,
+    accepted: &str,
+    fallback: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    static WARNED: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
+    let raw = std::env::var(name).ok()?;
+    let parsed = parse(&raw);
+    if parsed.is_none() {
+        // A poisoned list is still valid: its only update is one push.
+        let mut warned = WARNED
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if !warned.contains(&name) {
+            warned.push(name);
+            eprintln!(
+                "softmap: invalid {name}={raw:?}; accepted values are {accepted} — {fallback}"
+            );
+        }
+    }
+    parsed
 }
 
 /// Applies `f` to every item on a pool of [`tile_parallelism`] scoped
