@@ -36,6 +36,13 @@
 //! microcode path; `softmap`'s cost tables compile from a deterministic
 //! representative input for exactly this reason.
 //!
+//! Rows are the AP's SIMD width, so a recorded trace is also valid at
+//! any other row count once its geometry and whole-tile reductions are
+//! re-targeted: [`ApProgram::instantiate`] does that, and
+//! [`ApProgram::replay_costed`] — an ordinary replay that captures each
+//! op's charge — re-anchors the static cost of an instantiated (or
+//! optimizer-rewritten) program in one execution.
+//!
 //! # The residency contract
 //!
 //! Sharded phase programs can execute **resident**: the shard's tile is
@@ -832,7 +839,8 @@ impl<'s, 'd> Recorder<'s, 'd> {
 }
 
 /// Static summary of a trace: totals, per-step segments, and slot
-/// counts — shared by [`Recorder::finish`] and [`ApProgram::recost`].
+/// counts — shared by [`Recorder::finish`] and
+/// [`ApProgram::replay_costed`].
 struct TraceSummary {
     static_total: CycleStats,
     static_steps: Vec<(&'static str, CycleStats)>,
@@ -1341,7 +1349,10 @@ fn charge_divide_channel(
 /// structural cycle shapes plus the data-dependent tallies the strip
 /// executor accumulated in `core`'s tally buffer. `hoisted` holds the
 /// region's slice of the program's hoisted indices (absolute), `base`
-/// the absolute index of `ops[0]`.
+/// the absolute index of `ops[0]`. With `capture`, each op's charge is
+/// appended to it, exactly as an op-by-op costing replay would record
+/// it.
+#[allow(clippy::too_many_arguments)]
 fn charge_region(
     core: &mut ApCore,
     ops: &[ApOp],
@@ -1350,12 +1361,14 @@ fn charge_region(
     charge: ReplayCharge,
     mark: &mut CycleStats,
     on_step: &mut dyn FnMut(&'static str, CycleStats),
+    mut capture: Option<&mut Vec<CycleStats>>,
 ) {
     let rows = core.rows() as u64;
     let tally = std::mem::take(&mut core.tally_buf);
     let mut cursor = 0usize;
     let mut h = 0usize;
     for (k, op) in ops.iter().enumerate() {
+        let before = capture.is_some().then(|| core.stats());
         let hoist = hoisted.get(h) == Some(&((base + k) as u32));
         if hoist {
             h += 1;
@@ -1536,6 +1549,9 @@ fn charge_region(
             }
             _ => unreachable!("non-blockable op inside a region"),
         }
+        if let (Some(costs), Some(before)) = (capture.as_deref_mut(), before) {
+            costs.push(core.stats().since(&before));
+        }
     }
     debug_assert_eq!(cursor, tally.len());
     core.tally_buf = tally;
@@ -1671,7 +1687,7 @@ impl ApProgram {
         scratch: &mut ProgramScratch,
         mut on_step: impl FnMut(&'static str, CycleStats),
     ) -> Result<(), ApError> {
-        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Full)
+        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Full, None)
     }
 
     /// [`ApProgram::replay`] with the resident-operand discount: ops
@@ -1691,7 +1707,7 @@ impl ApProgram {
         scratch: &mut ProgramScratch,
         mut on_step: impl FnMut(&'static str, CycleStats),
     ) -> Result<(), ApError> {
-        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Hoisted)
+        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Hoisted, None)
     }
 
     /// [`ApProgram::replay`] with the wave-lockstep discount: every op
@@ -1715,7 +1731,89 @@ impl ApProgram {
         scratch: &mut ProgramScratch,
         mut on_step: impl FnMut(&'static str, CycleStats),
     ) -> Result<(), ApError> {
-        self.replay_inner(core, io, scratch, &mut on_step, ReplayCharge::Lockstep)
+        self.replay_inner(
+            core,
+            io,
+            scratch,
+            &mut on_step,
+            ReplayCharge::Lockstep,
+            None,
+        )
+    }
+
+    /// Replays the program at full price while capturing the charge of
+    /// every op, then re-anchors [`ApProgram::op_costs`],
+    /// [`ApProgram::static_cost`] and [`ApProgram::static_steps`] to
+    /// this execution. This is how a program whose recorded costs no
+    /// longer describe it gets its static cost: a trace the optimizer
+    /// rewrote, or a template [`ApProgram::instantiate`]d at a new row
+    /// count. It is an ordinary [`ApProgram::replay`] (region-blocked
+    /// when a plan is attached, which charges per op exactly as
+    /// op-by-op execution does), so outputs, registers and the step
+    /// callback are the replay's.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ApProgram::replay`]; the recorded costs are then
+    /// meaningless.
+    pub fn replay_costed(
+        &mut self,
+        core: &mut ApCore,
+        io: ExecIo<'_, '_>,
+        scratch: &mut ProgramScratch,
+        mut on_step: impl FnMut(&'static str, CycleStats),
+    ) -> Result<(), ApError> {
+        let mut costs = std::mem::take(&mut self.costs);
+        costs.clear();
+        let result = self.replay_inner(
+            core,
+            io,
+            scratch,
+            &mut on_step,
+            ReplayCharge::Full,
+            Some(&mut costs),
+        );
+        self.costs = costs;
+        result?;
+        let summary = summarize(&self.ops, &self.costs);
+        self.static_total = summary.static_total;
+        self.static_steps = summary.static_steps;
+        Ok(())
+    }
+
+    /// This program at `rows` rows: the same ops, columns, registers,
+    /// I/O slots and hoisted set, with the tile geometry and every
+    /// whole-tile [`ApOp::ReduceSum`] (one whose segment spans the
+    /// program's rows) re-targeted to `rows`. The mapped dataflow's
+    /// trace depends on the row count only through those two, so one
+    /// optimized program per compile class serves every vector length
+    /// of the class. The result carries no costs and no blocking plan:
+    /// plan it ([`ApProgram::plan_blocking`]) and cost it
+    /// ([`ApProgram::replay_costed`]) before use.
+    #[must_use]
+    pub fn instantiate(&self, rows: usize) -> Self {
+        let mut ops = self.ops.clone();
+        for op in &mut ops {
+            if let ApOp::ReduceSum { segment_rows, .. } = op {
+                if *segment_rows == self.config.rows {
+                    *segment_rows = rows;
+                }
+            }
+        }
+        Self {
+            config: ApConfig::new(rows, self.config.cols),
+            reserved_cols: self.reserved_cols,
+            num_regs: self.num_regs,
+            num_inputs: self.num_inputs,
+            num_outputs: self.num_outputs,
+            num_scalars: self.num_scalars,
+            costs: vec![CycleStats::default(); ops.len()],
+            ops,
+            static_total: CycleStats::default(),
+            static_steps: Vec::new(),
+            hoisted: self.hoisted.clone(),
+            blocking: None,
+        }
     }
 
     fn replay_inner(
@@ -1725,6 +1823,7 @@ impl ApProgram {
         scratch: &mut ProgramScratch,
         on_step: &mut dyn FnMut(&'static str, CycleStats),
         charge: ReplayCharge,
+        mut capture: Option<&mut Vec<CycleStats>>,
     ) -> Result<(), ApError> {
         if core.rows() != self.config.rows || core.cols() != self.config.cols {
             return Err(ApError::BadConfig("replay geometry mismatch"));
@@ -1768,6 +1867,7 @@ impl ApProgram {
                                 charge,
                                 &mut mark,
                                 on_step,
+                                capture.as_deref_mut(),
                             );
                             i = end;
                             continue;
@@ -1795,57 +1895,15 @@ impl ApProgram {
                 let snapshot = core.stats();
                 apply_op(core, op, &mut io, scratch, &mut mark, on_step)?;
                 core.restore_stats(snapshot);
+            } else if let Some(costs) = capture.as_deref_mut() {
+                let before = core.stats();
+                apply_op(core, op, &mut io, scratch, &mut mark, on_step)?;
+                costs.push(core.stats().since(&before));
             } else {
                 apply_op(core, op, &mut io, scratch, &mut mark, on_step)?;
             }
             i += 1;
         }
-        Ok(())
-    }
-
-    /// Re-derives the per-op costs, static total, and step segments by
-    /// replaying the (optimized) trace once on `core` — how the static
-    /// cost contract survives optimization: after the pass pipeline
-    /// rewrites `ops`, one recost execution charges the *fused*
-    /// schedule and re-anchors [`ApProgram::static_cost`] /
-    /// [`ApProgram::static_steps`] to it. Outputs are appended and
-    /// registers derived exactly as in a normal replay.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ApProgram::replay`].
-    pub fn recost(
-        &mut self,
-        core: &mut ApCore,
-        mut io: ExecIo<'_, '_>,
-        scratch: &mut ProgramScratch,
-        mut on_step: impl FnMut(&'static str, CycleStats),
-    ) -> Result<(), ApError> {
-        if core.rows() != self.config.rows || core.cols() != self.config.cols {
-            return Err(ApError::BadConfig("replay geometry mismatch"));
-        }
-        if io.inputs.len() < self.num_inputs
-            || io.outputs.len() < self.num_outputs
-            || io.scalars.len() < self.num_scalars
-        {
-            return Err(ApError::BadConfig("replay is missing io slots"));
-        }
-        core.set_next_col(self.reserved_cols);
-        scratch.regs.clear();
-        scratch.regs.resize(self.num_regs, 0);
-        let mut mark = core.stats();
-        let mut last = mark;
-        let mut costs = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
-            apply_op(core, op, &mut io, scratch, &mut mark, &mut on_step)?;
-            let now = core.stats();
-            costs.push(now.since(&last));
-            last = now;
-        }
-        self.costs = costs;
-        let summary = summarize(&self.ops, &self.costs);
-        self.static_total = summary.static_total;
-        self.static_steps = summary.static_steps;
         Ok(())
     }
 

@@ -45,7 +45,7 @@
 //!
 //! *Static == simulated*: after [`optimize`] rewrites a trace, the
 //! recorded per-op costs no longer describe it, so they are cleared;
-//! the caller must run [`ApProgram::recost`] once, which charges the
+//! the caller must run [`ApProgram::replay_costed`] once, which charges the
 //! *fused* schedule and re-anchors [`ApProgram::static_cost`] /
 //! [`ApProgram::static_steps`] to it.
 
@@ -147,7 +147,7 @@ pub struct PassReport {
 impl PassReport {
     /// Whether the pipeline rewrote the trace — if so, the recorded
     /// costs were invalidated and the caller must
-    /// [`ApProgram::recost`] before trusting
+    /// [`ApProgram::replay_costed`] before trusting
     /// [`ApProgram::static_cost`].
     #[must_use]
     pub fn changed(&self) -> bool {
@@ -179,7 +179,7 @@ impl core::fmt::Display for PassReport {
 ///
 /// When the report says [`PassReport::changed`], the program's recorded
 /// per-op costs, static total, and step segments have been cleared —
-/// run [`ApProgram::recost`] once on a fresh core to re-derive them
+/// run [`ApProgram::replay_costed`] once on a fresh core to re-derive them
 /// from the fused schedule (the mapping layer's compile path does this
 /// immediately).
 pub fn optimize(program: &mut ApProgram, level: OptLevel) -> PassReport {
@@ -207,7 +207,7 @@ pub fn optimize(program: &mut ApProgram, level: OptLevel) -> PassReport {
     report.ops_after = program.ops.len();
     if report.changed() {
         // The recorded per-op costs describe the pre-rewrite trace;
-        // zero them out so a forgotten recost fails loudly instead of
+        // zero them out so a forgotten costing replay fails loudly instead of
         // reporting stale numbers.
         program.costs.clear();
         program

@@ -194,7 +194,7 @@ fn planned(program: &ApProgram, strip: Option<usize>) -> ApProgram {
     p
 }
 
-/// Optimizes a clone of `program` at `level` and recosts it on a fresh
+/// Optimizes a clone of `program` at `level` and costs it on a fresh
 /// microcode core with the compile inputs.
 fn optimized(program: &ApProgram, level: OptLevel, inputs: &Inputs<'_>) -> ApProgram {
     let mut opt = program.clone();
@@ -208,7 +208,7 @@ fn optimized(program: &ApProgram, level: OptLevel, inputs: &Inputs<'_>) -> ApPro
         let mut o2 = Vec::new();
         let mut outs: [&mut Vec<u64>; 3] = [&mut o0, &mut o1, &mut o2];
         let mut scratch = ProgramScratch::default();
-        opt.recost(
+        opt.replay_costed(
             &mut core,
             ExecIo::new(&in_slices, &mut outs).with_scalars(&scalars),
             &mut scratch,

@@ -192,7 +192,7 @@ fn run_replay(
     }
 }
 
-/// Optimizes a clone of `program` at `level` and recosts it on a fresh
+/// Optimizes a clone of `program` at `level` and costs it on a fresh
 /// microcode core with the compile inputs.
 fn optimized(
     program: &ApProgram,
@@ -210,7 +210,7 @@ fn optimized(
         let mut o2 = Vec::new();
         let mut outs: [&mut Vec<u64>; 3] = [&mut o0, &mut o1, &mut o2];
         let mut scratch = ProgramScratch::default();
-        opt.recost(
+        opt.replay_costed(
             &mut core,
             ExecIo::new(&in_slices, &mut outs).with_scalars(&scalars),
             &mut scratch,
@@ -272,7 +272,7 @@ proptest! {
             }
 
             // Static == simulated on the fused schedule: replaying the
-            // compile inputs charges exactly the recosted static cost.
+            // compile inputs charges exactly the costed static cost.
             let sim = run_replay(&opt, ExecBackend::Microcode, &compile, false);
             prop_assert_eq!(sim.stats, opt.static_cost(),
                 "static == simulated at {:?}", level);

@@ -8,10 +8,6 @@
 //! * `fastword-replayed` — the same pooled streaming through the
 //!   **cached-plan replay** path (compile once per shape, then
 //!   load → replay → read with no per-op host dispatch),
-//! * `fastword-compile` — plan cache cleared every iteration, so each
-//!   vector pays record + execute; `fastword-compile − fastword-replayed`
-//!   is the compile cost a plan amortizes (`plan_compile_us` in
-//!   `BENCH_ap.json`),
 //! * `fastword-optimized` — the same pooled replay through the
 //!   optimizer's fused schedule (`OptLevel::Full`); against the
 //!   `OptLevel::None` pin on `fastword-replayed` this isolates what the
@@ -46,11 +42,18 @@
 //!   `scripts/bench_ap.sh`).
 //!
 //! The pooled plan-cache series (`fastword-reused` / `-replayed` /
-//! `-optimized` / `-compile`) run in their own group at a 4x
-//! measurement budget: `BENCH_ap.json` consumes them as ratios
-//! (`plan_replay_gain_*`) and differences (`plan_compile_us_*`), so
+//! `-optimized`) run in their own group at a 4x measurement budget:
+//! `BENCH_ap.json` consumes them as ratios (`plan_replay_gain_*`), so
 //! their noise multiplies in the recorded numbers — see the
 //! methodology comment at the group.
+//!
+//! Compile cost is measured directly, not as a difference of series:
+//! `compile-us/{cold,warm}/<rows>` records carry the median
+//! `compile_micros()` of [`COMPILE_SAMPLES`] fresh compiles at the
+//! production configuration (autotune on, `OptLevel::Full`, blocked),
+//! with the compile-class templates cleared (cold) or present (warm)
+//! — `plan_compile_cold_us_*` / `plan_compile_us_*` in
+//! `BENCH_ap.json`.
 //!
 //! Besides wall-clock series, the bench appends `cycles/...` records to
 //! `CRITERION_JSON`: simulated cycle counts from the compiled plans'
@@ -99,7 +102,7 @@ fn tuned_mapping() -> ApSoftmax {
 /// the same `{"bench":..., "ns_per_iter":...}` shape the harness emits,
 /// so `scripts/bench_ap.sh` can gate on numbers that do not depend on
 /// host speed.
-fn emit_cycles(name: &str, cycles: u64) {
+fn emit_cycles(name: &str, cycles: impl std::fmt::Display) {
     use std::io::Write;
     let Ok(path) = std::env::var("CRITERION_JSON") else {
         return;
@@ -115,6 +118,10 @@ fn emit_cycles(name: &str, cycles: u64) {
         let _ = writeln!(file, "{{\"bench\":\"{name}\",\"ns_per_iter\":{cycles}}}");
     }
 }
+
+/// Fresh compiles per compile-cost record (odd, so the median is one
+/// sample).
+const COMPILE_SAMPLES: usize = 21;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("backend");
@@ -144,8 +151,8 @@ fn bench(c: &mut Criterion) {
     // measure/warmup time by the sample count).
     //
     // Methodology: `scripts/bench_ap.sh` derives `plan_replay_gain_*`
-    // and `plan_compile_us_*` as RATIOS/DIFFERENCES of these four
-    // series, so per-series noise multiplies in the recorded numbers.
+    // as RATIOS of these series, so per-series noise multiplies in the
+    // recorded numbers.
     // Per-iteration times here are single-digit microseconds; under the
     // short shared budget a single scheduler preemption inside one
     // series' window could skew its mean enough to push a gain ratio
@@ -225,24 +232,33 @@ fn bench(c: &mut Criterion) {
                 black_box(run.total.cycles())
             })
         });
-        // Compile every vector: the cache is cleared per iteration, so
-        // this series pays record + execute each time (OptLevel::None,
-        // so `fastword-compile − fastword-replayed` stays the plain
-        // record cost without the optimize + recost overhead).
-        let m = mapping(ExecBackend::FastWord)
-            .with_opt_level(OptLevel::None)
-            .with_blocked(false);
-        let mut state = TileState::new();
-        let mut run = ApSoftmaxRun::default();
-        g.bench_with_input(BenchmarkId::new("fastword-compile", len / 2), &s, |b, s| {
-            b.iter(|| {
-                m.clear_plans();
-                m.execute_floats_into(&mut state, s, &mut run).unwrap();
-                black_box(run.total.cycles())
-            })
-        });
     }
     g.finish();
+
+    // Compile cost, measured directly: the median `compile_micros()`
+    // of fresh compiles (autotune search included) at the production
+    // configuration. Cold clears the compile-class templates with the
+    // plans; warm first compiles a neighbouring length of the same
+    // classes, so the timed compile only instantiates and costs.
+    let m = tuned_mapping()
+        .with_opt_level(OptLevel::Full)
+        .with_blocked(true);
+    for len in [512usize, 1024, 2048, 4096] {
+        let mut cold = Vec::with_capacity(COMPILE_SAMPLES);
+        let mut warm = Vec::with_capacity(COMPILE_SAMPLES);
+        for _ in 0..COMPILE_SAMPLES {
+            m.clear_plans();
+            cold.push(m.tuned_plan(len).unwrap().compile_micros());
+            m.clear_plans();
+            m.warmup(&[len - 2]).unwrap();
+            warm.push(m.tuned_plan(len).unwrap().compile_micros());
+        }
+        for (name, mut us) in [("cold", cold), ("warm", warm)] {
+            us.sort_by(f64::total_cmp);
+            let ns = us[us.len() / 2] * 1e3;
+            emit_cycles(&format!("compile-us/{name}/{}", len / 2), ns.round());
+        }
+    }
     let mut g = c.benchmark_group("backend");
     g.sample_size(10);
 

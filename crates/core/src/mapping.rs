@@ -9,16 +9,20 @@
 //!
 //! # Compile once, replay many
 //!
-//! The dataflow's op sequence is *static* per shape: it depends only on
-//! `(vector length, Layout, PrecisionConfig, DivStyle)`, never on the
+//! The dataflow's op sequence is *static*: it depends only on the
+//! compile class (whole vector or shard phase, packing, residency,
+//! `DivStyle`, `OptLevel`, for one `PrecisionConfig`), never on the
 //! data (run-time scalars — the min search result, the reduction sum —
-//! flow through program registers). [`ApSoftmax`] therefore records the
-//! trace once per shape into a [`softmap_ap::ApProgram`], caches it in
-//! a shape-keyed [`crate::PlanCache`], and every further vector of that
-//! shape executes as load → replay → read with no per-op host dispatch
-//! (and zero heap allocations through a warmed [`TileState`]). The
-//! compiled program also answers analytic cost queries without touching
-//! a CAM: see [`ApSoftmax::static_cost`].
+//! flow through program registers), and the vector length only sets
+//! the rows and the reduction segment. [`ApSoftmax`] therefore records
+//! and optimizes the trace once per class into a template
+//! [`softmap_ap::ApProgram`], compiles each shape by instantiating that
+//! template at the shape's rows and costing it in one execution, and
+//! caches the result in a shape-keyed [`crate::PlanCache`]. Every
+//! further vector of that shape executes as load → replay → read with
+//! no per-op host dispatch (and zero heap allocations through a warmed
+//! [`TileState`]). The compiled program also answers analytic cost
+//! queries without touching a CAM: see [`ApSoftmax::static_cost`].
 
 use std::sync::Arc;
 
@@ -32,7 +36,8 @@ use softmap_ap::{
 use softmap_softmax::{IntSoftmax, PrecisionConfig, SumMode};
 
 use crate::plan::{
-    CachedPlan, CompiledPlan, PlanCache, PlanKey, PlanPhase, PlanStats, ShardedPlan, TunedPlan,
+    CachedPlan, ClassKey, CompiledPlan, PlanCache, PlanKey, PlanPhase, PlanStats, ShardedPlan,
+    TunedPlan,
 };
 use crate::CoreError;
 
@@ -162,9 +167,6 @@ pub struct ApSoftmax {
     /// Set by [`ApSoftmax::with_layout`]: the caller pinned the layout
     /// explicitly, so the autotuner must not search the layout axis.
     layout_pinned: bool,
-    /// Internal candidate-view hook: when set, sharded execution uses
-    /// this partition instead of [`DeviceConfig::partition_into`].
-    partition_override: Option<Arc<Vec<(usize, usize)>>>,
     plans: Arc<PlanCache>,
 }
 
@@ -517,7 +519,6 @@ impl ApSoftmax {
             blocked: flag_knob(BLOCKED_ENV),
             autotune: flag_knob(AUTOTUNE_ENV),
             layout_pinned: false,
-            partition_override: None,
             plans: Arc::new(PlanCache::new()),
         })
     }
@@ -589,15 +590,6 @@ impl ApSoftmax {
     #[must_use]
     pub fn blocked(&self) -> bool {
         self.blocked
-    }
-
-    /// Attaches the region-blocking plan to a freshly compiled program
-    /// (after the optimizer pipeline settles — any rewrite drops a
-    /// stale plan) when blocking is enabled.
-    fn apply_blocking(&self, program: &mut ApProgram) {
-        if self.blocked {
-            program.plan_blocking(softmap_ap::program::strip_from_env());
-        }
     }
 
     /// Whether a vector splitting into `shards` shards executes
@@ -801,7 +793,11 @@ impl ApSoftmax {
     ///
     /// # Errors
     ///
-    /// See [`ApSoftmax::execute_codes`].
+    /// [`CoreError::Softmax`] with
+    /// [`softmap_softmax::SoftmaxError::NonFinite`] for a NaN or `+inf`
+    /// score — the scalar spec's input domain
+    /// ([`IntSoftmax::try_quantize_into`]; `-inf` is a valid score);
+    /// otherwise see [`ApSoftmax::execute_codes`].
     pub fn execute_floats(&self, scores: &[f64]) -> Result<ApSoftmaxRun, CoreError> {
         THREAD_TILE.with(|state| {
             let mut state = state.borrow_mut();
@@ -818,7 +814,7 @@ impl ApSoftmax {
     ///
     /// # Errors
     ///
-    /// See [`ApSoftmax::execute_codes`].
+    /// See [`ApSoftmax::execute_floats`].
     pub fn execute_floats_into(
         &self,
         state: &mut TileState,
@@ -829,8 +825,11 @@ impl ApSoftmax {
             return Err(CoreError::EmptyInput);
         }
         let mut codes = std::mem::take(&mut state.codes);
-        self.sm.quantize_into(scores, &mut codes);
-        let result = self.execute_codes_into(state, &codes, run);
+        let result = self
+            .sm
+            .try_quantize_into(scores, &mut codes)
+            .map_err(CoreError::from)
+            .and_then(|()| self.execute_codes_into(state, &codes, run));
         state.codes = codes;
         result
     }
@@ -847,7 +846,7 @@ impl ApSoftmax {
     /// # Errors
     ///
     /// The first (by input order) failing vector's error; see
-    /// [`ApSoftmax::execute_codes`]. On failure the remaining vectors
+    /// [`ApSoftmax::execute_floats`]. On failure the remaining vectors
     /// are cancelled.
     pub fn execute_batch_floats(&self, batch: &[Vec<f64>]) -> Result<Vec<ApSoftmaxRun>, CoreError> {
         batch::try_parallel_map_with(batch, TileState::new, |state, scores| {
@@ -964,13 +963,13 @@ impl ApSoftmax {
         self.sm.validate_codes(codes)?;
         if mode == PlanMode::Cached && self.autotune {
             let key = self.tuned_key(codes.len());
-            // The search scores candidates on throwaway tiles: the winner
-            // replays on this one once the compile lock is released.
-            return self.execute_cached(state, codes, run, key, threads, |_, _| {
-                let tuned = self.search_mappings(codes)?;
+            // The search costs every candidate on this tile and leaves
+            // the winner's execution of this vector in `run`.
+            return self.execute_cached(state, codes, run, key, threads, |state, run| {
+                let tuned = self.search_mappings(state, codes, run)?;
                 self.plans
                     .note_autotune(tuned.scores.len() as u64, tuned.improved());
-                Ok((CachedPlan::Tuned(tuned), false))
+                Ok((CachedPlan::Tuned(tuned), true))
             });
         }
         let (_, rows) = self.packing(codes.len());
@@ -1081,9 +1080,9 @@ impl ApSoftmax {
 
     /// Executes a vector that fits one tile under `layout` on the
     /// state's tile: replays `plan` when given, else issues the
-    /// dataflow directly — and, with `compile`, records it into a plan
-    /// (optimized, recosted when the optimizer rewrote the trace, and
-    /// region-blocked).
+    /// dataflow directly — or, with `compile`, compiles it
+    /// ([`ApSoftmax::instantiate_class`]) and costs the new plan with
+    /// this vector's one execution.
     fn execute_whole(
         &self,
         state: &mut TileState,
@@ -1102,37 +1101,93 @@ impl ApSoftmax {
             ..
         } = state;
         let halves = &[half0.as_slice(), half1.as_slice()][..halves];
+        let len = codes.len();
         if let Some(plan) = plan {
-            self.replay_plan(plan, tile, scratch, halves, codes.len(), run)?;
-            return Ok(None);
-        }
-        let started = std::time::Instant::now();
-        let Some((mut program, sum_reg)) =
-            self.issue_once(tile, scratch, halves, rows, codes.len(), run, compile)?
-        else {
-            return Ok(None);
-        };
-        let report = optimizer::optimize(&mut program, self.opt_level);
-        if report.changed() {
-            // The pass pipeline rewrote the trace and invalidated the
-            // recorded costs: one recost execution charges the fused
-            // schedule and overwrites this vector's run with it.
-            self.recost_whole(
-                &mut program,
-                sum_reg,
+            let program = plan.program();
+            let (config, reg, cols) = (program.config(), plan.result_reg(), plan.cols_used());
+            self.run_whole(
+                config,
+                reg,
+                cols,
                 tile,
                 scratch,
                 halves,
-                codes.len(),
+                len,
                 run,
+                |ap, io, sc, f| program.replay(ap, io, sc, f),
             )?;
+            return Ok(None);
         }
-        self.apply_blocking(&mut program);
-        let micros = started.elapsed().as_secs_f64() * 1e6;
-        let (rows, cols) = (run.rows, run.cols_used);
-        Ok(Some(CompiledPlan::new(
-            program, sum_reg, rows, cols, report, micros,
-        )))
+        if !compile {
+            self.issue_once(tile, scratch, halves, rows, len, run, false)?;
+            return Ok(None);
+        }
+        let started = std::time::Instant::now();
+        let class = self.class_key(PlanPhase::Vector, halves.len(), false);
+        let mut plan = self.instantiate_class(class, rows, || {
+            let (program, reg) = self
+                .issue_once(tile, scratch, halves, rows, len, run, true)?
+                .expect("recording returns a program");
+            Ok((program, reg, run.cols_used))
+        })?;
+        let (config, reg, cols) = (plan.program.config(), plan.result_reg(), plan.cols_used());
+        let program = &mut plan.program;
+        self.run_whole(
+            config,
+            reg,
+            cols,
+            tile,
+            scratch,
+            halves,
+            len,
+            run,
+            |ap, io, sc, f| program.replay_costed(ap, io, sc, f),
+        )?;
+        plan.compile_micros = started.elapsed().as_secs_f64() * 1e6;
+        Ok(Some(plan))
+    }
+
+    /// The compile class of a whole-vector (`PlanPhase::Vector`) or
+    /// shard-phase program over `halves` half-vectors.
+    fn class_key(&self, phase: PlanPhase, halves: usize, resident: bool) -> ClassKey {
+        ClassKey {
+            phase,
+            halves,
+            resident,
+            div: self.div_style,
+            opt: self.opt_level,
+        }
+    }
+
+    /// A new plan of compile class `class` at `rows` rows: the class's
+    /// template instantiated at `rows`, region-blocked when blocking is
+    /// on. A class without a template gets one first: `record` records
+    /// the dataflow (returning the program, its result register and
+    /// columns used) and the optimizer pipeline rewrites it. The plan
+    /// carries no costs until the caller's costing execution
+    /// ([`ApProgram::replay_costed`]).
+    fn instantiate_class(
+        &self,
+        class: ClassKey,
+        rows: usize,
+        record: impl FnOnce() -> Result<(ApProgram, RegId, usize), CoreError>,
+    ) -> Result<CompiledPlan, CoreError> {
+        let template = match self.plans.template(&class) {
+            Some(template) => template,
+            None => {
+                let (mut program, reg, cols) = record()?;
+                let report = optimizer::optimize(&mut program, self.opt_level);
+                let template = Arc::new(CompiledPlan::new(program, reg, rows, cols, report, 0.0));
+                self.plans.insert_template(class, Arc::clone(&template));
+                template
+            }
+        };
+        let mut plan = template.instantiate(rows);
+        if self.blocked {
+            plan.program
+                .plan_blocking(softmap_ap::program::strip_from_env());
+        }
+        Ok(plan)
     }
 
     fn cfg(&self) -> &PrecisionConfig {
@@ -1309,19 +1364,31 @@ impl ApSoftmax {
         run.reduction = CycleStats::default();
     }
 
-    /// Replays a cached plan: load → replay → read, no per-op host
-    /// dispatch. Bit- and cycle-exact versus [`PlanMode::DirectIssue`]
-    /// by the program-replay contract.
-    fn replay_plan(
+    /// Executes a whole-vector program on `tile` over the staged
+    /// `halves` and writes the outcome into `run`: `exec` runs it (a
+    /// replay, or a fresh plan's costing replay) on the tile acquired
+    /// at `config`; its scalar result lands in `result_reg`. Bit- and
+    /// cycle-exact versus [`PlanMode::DirectIssue`] by the
+    /// program-replay contract.
+    #[allow(clippy::too_many_arguments)]
+    fn run_whole(
         &self,
-        plan: &CompiledPlan,
+        config: ApConfig,
+        result_reg: RegId,
+        cols_used: usize,
         tile: &mut ApTile,
         scratch: &mut ProgramScratch,
         halves: &[&[u64]],
         total_len: usize,
         run: &mut ApSoftmaxRun,
+        exec: impl FnOnce(
+            &mut ApCore,
+            ExecIo<'_, '_>,
+            &mut ProgramScratch,
+            &mut dyn FnMut(&'static str, CycleStats),
+        ) -> Result<(), ApError>,
     ) -> Result<(), CoreError> {
-        let ap = tile.acquire(plan.program().config(), self.backend)?;
+        let ap = tile.acquire(config, self.backend)?;
         {
             let ApSoftmaxRun {
                 codes,
@@ -1333,82 +1400,31 @@ impl ApSoftmax {
             vapprox.clear();
             steps.clear();
             let mut outs: [&mut Vec<u64>; 2] = [codes, vapprox];
-            plan.program().replay(
+            exec(
                 ap,
                 ExecIo::new(halves, &mut outs),
                 scratch,
-                |name, stats| steps.push(StepStats { name, stats }),
+                &mut |name, stats| steps.push(StepStats { name, stats }),
             )?;
         }
         run.codes.truncate(total_len);
         run.vapprox.truncate(total_len);
         run.frac_bits = self.sm.widths().frac_bits();
-        run.sum = scratch.reg(plan.result_reg());
+        run.sum = scratch.reg(result_reg);
         run.total = ap.stats();
-        run.rows = plan.rows();
-        run.cols_used = plan.cols_used();
-        Self::finish_unsharded(run);
-        Ok(())
-    }
-
-    /// Re-executes a freshly optimized whole-vector program once
-    /// ([`ApProgram::recost`]): the recorded per-op costs described the
-    /// unoptimized trace, so one execution of the fused schedule
-    /// re-anchors the program's static cost and overwrites `run` with
-    /// the optimized outcome this vector returns.
-    #[allow(clippy::too_many_arguments)]
-    fn recost_whole(
-        &self,
-        program: &mut ApProgram,
-        sum_reg: RegId,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        halves: &[&[u64]],
-        total_len: usize,
-        run: &mut ApSoftmaxRun,
-    ) -> Result<(), CoreError> {
-        let ap = tile.acquire(program.config(), self.backend)?;
-        {
-            let ApSoftmaxRun {
-                codes,
-                vapprox,
-                steps,
-                ..
-            } = run;
-            codes.clear();
-            vapprox.clear();
-            steps.clear();
-            let mut outs: [&mut Vec<u64>; 2] = [codes, vapprox];
-            program.recost(
-                ap,
-                ExecIo::new(halves, &mut outs),
-                scratch,
-                |name, stats| {
-                    steps.push(StepStats { name, stats });
-                },
-            )?;
-        }
-        run.codes.truncate(total_len);
-        run.vapprox.truncate(total_len);
-        run.sum = scratch.reg(sum_reg);
-        run.total = ap.stats();
+        run.rows = config.rows;
+        run.cols_used = cols_used;
         Self::finish_unsharded(run);
         Ok(())
     }
 
     /// The shard partition this mapping executes `len` elements with:
-    /// the candidate-view override when the autotuner is evaluating a
-    /// specific partition, the device's greedy default otherwise.
+    /// the device's greedy capacity-filling default.
     fn effective_partition(
         &self,
         len: usize,
         ranges: &mut Vec<(usize, usize)>,
     ) -> Result<(), CoreError> {
-        if let Some(ov) = &self.partition_override {
-            ranges.clear();
-            ranges.extend_from_slice(ov);
-            return Ok(());
-        }
         self.device
             .partition_into(len, self.words_per_row(), ranges)
             .map_err(CoreError::Ap)
@@ -2628,5 +2644,108 @@ mod tests {
         assert_eq!(grid.waves, 2);
         assert_eq!(grid.total, unbounded.total);
         assert!(grid.makespan_cycles >= unbounded.makespan_cycles * 2);
+    }
+
+    /// Every field a compiled plan's exactness is judged by.
+    fn assert_plans_equal(a: &CompiledPlan, b: &CompiledPlan, what: &str) {
+        let (pa, pb) = (a.program(), b.program());
+        assert_eq!(pa.ops(), pb.ops(), "{what}: ops");
+        assert_eq!(pa.op_costs(), pb.op_costs(), "{what}: op_costs");
+        assert_eq!(pa.static_cost(), pb.static_cost(), "{what}: static_cost");
+        assert_eq!(pa.static_steps(), pb.static_steps(), "{what}: static_steps");
+        assert_eq!(pa.hoisted(), pb.hoisted(), "{what}: hoisted");
+        assert_eq!(pa.config(), pb.config(), "{what}: config");
+        assert_eq!(a.block_stats(), b.block_stats(), "{what}: block_stats");
+        assert_eq!(a.pass_report(), b.pass_report(), "{what}: pass_report");
+        assert_eq!(a.rows(), b.rows(), "{what}: rows");
+        assert_eq!(a.cols_used(), b.cols_used(), "{what}: cols_used");
+    }
+
+    #[test]
+    fn instantiated_plans_equal_cold_compiles() {
+        // A plan instantiated from a template recorded at another
+        // length must equal a cold compile of its own length on a fresh
+        // mapping (whose template is recorded at that very length), and
+        // its blocked costing execution must charge exactly what the
+        // op-by-op costing of an unblocked compile charges.
+        let cfg = PrecisionConfig::paper_best();
+        let small = [1usize, 2, 3, 63, 64, 65];
+        let whole = [511usize, 512, 1023, 1024, 2047, 2048];
+        for backend in [ExecBackend::FastWord, ExecBackend::Microcode] {
+            let lens: Vec<usize> = match backend {
+                ExecBackend::FastWord => small.iter().chain(&whole).copied().collect(),
+                ExecBackend::Microcode => small.to_vec(),
+            };
+            for layout in [Layout::TwoWordsPerRow, Layout::OneWordPerRow] {
+                let fresh = || {
+                    ApSoftmax::new(cfg)
+                        .unwrap()
+                        .with_backend(backend)
+                        .with_autotune(false)
+                        .with_opt_level(OptLevel::Full)
+                        .with_blocked(true)
+                        .with_layout(layout)
+                };
+                let warm = fresh();
+                // Build both packing classes' templates at other lengths.
+                warm.warmup(&[100, 101]).unwrap();
+                for &len in &lens {
+                    let what = format!("{backend:?} {layout:?} len {len}");
+                    let inst = warm.plan(len).unwrap();
+                    assert_plans_equal(&inst, &fresh().plan(len).unwrap(), &what);
+                    let unblocked = fresh().with_blocked(false).plan(len).unwrap();
+                    let (pi, pu) = (inst.program(), unblocked.program());
+                    assert_eq!(pi.op_costs(), pu.op_costs(), "{what}: blocked costing");
+                    assert_eq!(pi.static_steps(), pu.static_steps(), "{what}: steps");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn instantiated_shard_phase_programs_equal_cold_compiles() {
+        let cfg = PrecisionConfig::paper_best();
+        for resident in [true, false] {
+            for layout in [Layout::TwoWordsPerRow, Layout::OneWordPerRow] {
+                let fresh = || {
+                    ApSoftmax::new(cfg)
+                        .unwrap()
+                        .with_backend(ExecBackend::FastWord)
+                        .with_autotune(false)
+                        .with_resident(resident)
+                        .with_layout(layout)
+                };
+                for len in [2049usize, 4096, 6000, 16384] {
+                    let what = format!("resident={resident} {layout:?} len {len}");
+                    // Shard-phase templates recorded at other shard
+                    // lengths, through the autotuner, which shares
+                    // templates but not shard-phase plans (a cached
+                    // phase plan, costed for its own vector's divisor,
+                    // would be replayed instead of instantiated) — and
+                    // a fresh mapping per length for the same reason.
+                    let warm = fresh();
+                    warm.clone()
+                        .with_autotune(true)
+                        .warmup(&[5002, 5003])
+                        .unwrap();
+                    let Ok(inst) = warm.sharded_plan(len) else {
+                        // 4096 fits one tile two words per row.
+                        assert!(fresh().plan(len).is_ok(), "{what}");
+                        continue;
+                    };
+                    let cold = fresh().sharded_plan(len).unwrap();
+                    assert_eq!(inst.resident(), resident, "{what}: residency");
+                    assert_eq!(inst.total(), cold.total(), "{what}: total");
+                    assert_eq!(inst.steps, cold.steps, "{what}: steps");
+                    for (k, (pi, pc)) in inst.phase_plans.iter().zip(&cold.phase_plans).enumerate()
+                    {
+                        assert_eq!(pi.len(), cold.shards(), "{what}");
+                        for (i, (a, b)) in pi.iter().zip(pc).enumerate() {
+                            assert_plans_equal(a, b, &format!("{what} phase {k} shard {i}"));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

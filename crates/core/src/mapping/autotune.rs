@@ -10,11 +10,18 @@
 //! approximation and without executing it ever again. When autotuning
 //! is enabled (the default; see [`AUTOTUNE_ENV`] /
 //! [`ApSoftmax::with_autotune`]), the first vector of each cached
-//! shape compiles every candidate, scores them lexicographically by
-//! `(total work cycles, device critical path, cell events)`, and
-//! installs the winner as a [`TunedPlan`] — further vectors replay the
-//! winner with the same zero-allocation steady state as an untuned
-//! plan.
+//! shape compiles every distinct candidate, scores them
+//! lexicographically by `(total work cycles, device critical path,
+//! cell events)`, and installs the winner as a [`TunedPlan`] — further
+//! vectors replay the winner with the same zero-allocation steady
+//! state as an untuned plan.
+//!
+//! A candidate compiles like any plan: its programs are instantiated
+//! from the compile-class templates at the candidate's rows (see
+//! `crate::plan`) and costed by one execution of the request's own
+//! input on the request's tile. That execution *is* the request's
+//! result when the candidate wins, so a first-sight shape costs one
+//! execution per distinct candidate and no replay.
 //!
 //! # Search space and pruning
 //!
@@ -26,9 +33,15 @@
 //! | `OptLevel` | configured level only | cost is non-increasing along [`softmap_ap::OptLevel::ladder`], so the configured level dominates |
 //! | residency | resident-whenever-legal (the existing per-vector rule) | the resident plan is never costlier than re-staging on the same partition |
 //!
-//! The pruning rule bounds the search at `2 layouts × (1 default + 3
-//! balanced partitions) = 8` compiles per shape — O(tens), paid once
-//! per shape and amortized by the plan cache like any other compile.
+//! Candidates are compared by their *effective* mapping — the
+//! partition plus each shard's packing — and only distinct ones are
+//! scored: an odd length packs one word per row under both layouts,
+//! and a balanced split can coincide with the greedy one, so such
+//! duplicates would only re-score an identical execution. The bound is
+//! `2 layouts × (1 greedy + 3 balanced partitions) = 8` costing
+//! executions per shape, and a single-tile shape scores two (even
+//! lengths) or one (odd lengths) — paid once per shape and amortized
+//! by the plan cache like any other compile.
 //!
 //! # Contracts
 //!
@@ -51,7 +64,7 @@
 
 use std::sync::Arc;
 
-use super::{ApSoftmax, ApSoftmaxRun, CoreError, Layout, PlanMode, TileState, VectorCost};
+use super::{ApSoftmax, ApSoftmaxRun, CoreError, Layout, TileState, VectorCost};
 use crate::plan::{CachedPlan, CandidateScore, MappingChoice, TunedPlan};
 
 /// Environment variable enabling/disabling the mapping autotuner:
@@ -61,13 +74,11 @@ use crate::plan::{CachedPlan, CandidateScore, MappingChoice, TunedPlan};
 /// winner. Invalid values warn once and keep the default.
 pub const AUTOTUNE_ENV: &str = "SOFTMAP_AUTOTUNE";
 
-/// One enumerated candidate: a layout plus an optional explicit shard
-/// partition (`None` = whatever the untuned path derives — the whole
-/// vector if it fits one tile, the greedy default partition
-/// otherwise).
+/// One enumerated candidate: a layout plus its shard partition (`None`
+/// = the whole vector on one tile).
 struct Candidate {
     layout: Layout,
-    partition: Option<Arc<Vec<(usize, usize)>>>,
+    ranges: Option<Vec<(usize, usize)>>,
     balanced: bool,
 }
 
@@ -77,53 +88,55 @@ struct Candidate {
 const BALANCED_SPREAD: usize = 2;
 
 impl ApSoftmax {
-    /// Compiles and scores every candidate mapping for this input,
-    /// returning the winner wrapped in a [`TunedPlan`]. Candidates
-    /// execute on throwaway views (fresh scratch cache each, so the
-    /// main cache sees exactly one insert per tuned shape) against the
-    /// *actual* input, which both anchors the winner's static cost to
-    /// it and verifies bit-exactness against the default mapping.
-    pub(super) fn search_mappings(&self, codes: &[i64]) -> Result<Arc<TunedPlan>, CoreError> {
+    /// Compiles and scores every distinct candidate mapping for this
+    /// input, returning the winner wrapped in a [`TunedPlan`]. Each
+    /// candidate compiles from the compile-class templates and is
+    /// costed by one execution of the *actual* input on `state`'s tile
+    /// — which anchors the winner's static cost to it and verifies
+    /// bit-exactness against the default mapping. The winner's
+    /// execution is left in `run`, so the request needs no replay.
+    /// Shard-phase programs of candidates are not shared through the
+    /// plan cache: the cache sees exactly one insert per tuned shape.
+    pub(super) fn search_mappings(
+        &self,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+    ) -> Result<Arc<TunedPlan>, CoreError> {
         let started = std::time::Instant::now();
-        let len = codes.len();
-        let candidates = self.enumerate_candidates(len);
-        let mut scratch_state = TileState::new();
+        let candidates = self.enumerate_candidates(codes.len())?;
         let mut scores = Vec::with_capacity(candidates.len());
         let mut default_cost: Option<VectorCost> = None;
-        let mut reference: Option<(Vec<u64>, Vec<u64>, u64)> = None;
         let mut best: Option<(VectorCost, MappingChoice, CachedPlan)> = None;
+        let mut crun = ApSoftmaxRun::default();
         for cand in &candidates {
-            let view = self.candidate_view(cand);
-            let mut crun = ApSoftmaxRun::default();
-            if let Err(e) =
-                view.execute_codes_mode(&mut scratch_state, codes, &mut crun, PlanMode::Cached, 1)
+            let compiled = match &cand.ranges {
+                None => self
+                    .execute_whole(state, codes, &mut crun, cand.layout, None, true)
+                    .map(|p| CachedPlan::Program(Arc::new(p.expect("compiling returns a plan")))),
+                Some(ranges) => self
+                    .compile_sharded(state, codes, &mut crun, ranges, cand.layout, false)
+                    .map(|p| CachedPlan::Sharded(Arc::new(p))),
+            };
+            let entry = match compiled {
+                Ok(entry) => entry,
+                // The default mapping (candidate zero) must work; its
+                // failure is the caller's error, exactly as without the
+                // autotuner.
+                Err(e) if default_cost.is_none() => return Err(e),
+                // An alternative candidate that cannot execute is
+                // merely pruned.
+                Err(_) => continue,
+            };
+            // Exactness guard: `run` holds the best candidate so far,
+            // which reproduces the default mapping's outputs; a
+            // candidate that does not is discarded.
+            if best.is_some()
+                && (crun.codes != run.codes || crun.vapprox != run.vapprox || crun.sum != run.sum)
             {
-                if default_cost.is_none() {
-                    // The default mapping (candidate zero) must work;
-                    // its failure is the caller's error, exactly as
-                    // without the autotuner.
-                    return Err(e);
-                }
-                // An alternative candidate that cannot execute (e.g. a
-                // geometry the tile grid rejects) is merely pruned.
+                debug_assert!(false, "candidate mapping is not bit-exact");
                 continue;
             }
-            // Exactness guard: a candidate that does not reproduce the
-            // default mapping's outputs bit-for-bit is discarded.
-            match &reference {
-                None => reference = Some((crun.codes.clone(), crun.vapprox.clone(), crun.sum)),
-                Some((rc, rv, rs)) => {
-                    if crun.codes != *rc || crun.vapprox != *rv || crun.sum != *rs {
-                        debug_assert!(false, "candidate mapping is not bit-exact");
-                        continue;
-                    }
-                }
-            }
-            let vkey = view.vector_key(len)?;
-            let entry = view
-                .plans
-                .peek(&vkey)
-                .ok_or_else(|| CoreError::BadWorkload("candidate compile did not cache".into()))?;
             let cost = Self::entry_vector_cost(&entry);
             let resident = matches!(&entry, CachedPlan::Sharded(p) if p.resident);
             let choice = MappingChoice {
@@ -145,17 +158,9 @@ impl ApSoftmax {
             }
             // Strict comparison: the default (scored first) wins ties,
             // so the winner is never statically worse than it.
-            let better = match &best {
-                None => true,
-                Some((bc, _, _)) => {
-                    (
-                        cost.total.cycles(),
-                        cost.latency_cycles,
-                        cost.total.cell_events(),
-                    ) < (bc.total.cycles(), bc.latency_cycles, bc.total.cell_events())
-                }
-            };
-            if better {
+            let key = |c: &VectorCost| (c.total.cycles(), c.latency_cycles, c.total.cell_events());
+            if best.as_ref().is_none_or(|(bc, _, _)| key(&cost) < key(bc)) {
+                std::mem::swap(run, &mut crun);
                 best = Some((cost, choice, entry));
             }
         }
@@ -172,78 +177,86 @@ impl ApSoftmax {
         }))
     }
 
-    /// Enumerates the candidate mappings for a vector of `len`
+    /// Enumerates the distinct candidate mappings for a vector of `len`
     /// elements under the documented pruning rule. The configured
-    /// default mapping is always candidate zero.
-    fn enumerate_candidates(&self, len: usize) -> Vec<Candidate> {
-        let mut out = vec![Candidate {
-            layout: self.layout,
-            partition: None,
-            balanced: false,
-        }];
-        for layout in [Layout::TwoWordsPerRow, Layout::OneWordPerRow] {
-            if self.layout_pinned && layout != self.layout {
-                continue;
+    /// default mapping is always candidate zero; a later candidate that
+    /// executes exactly like an earlier one — the same partition with
+    /// the same per-shard packing, as both layouts pack an odd length
+    /// one word per row — is dropped.
+    ///
+    /// # Errors
+    ///
+    /// The default mapping's partition error, exactly as without the
+    /// autotuner.
+    fn enumerate_candidates(&self, len: usize) -> Result<Vec<Candidate>, CoreError> {
+        let mut out: Vec<Candidate> = Vec::new();
+        let mut seen: Vec<Vec<(usize, usize, bool)>> = Vec::new();
+        let mut push = |out: &mut Vec<Candidate>, cand: Candidate| {
+            let whole = [(0, len)];
+            let ranges = cand.ranges.as_deref().unwrap_or(&whole);
+            let effective: Vec<(usize, usize, bool)> = ranges
+                .iter()
+                .map(|&(s, e)| (s, e, Self::packing_of(cand.layout, e - s).0))
+                .collect();
+            if !seen.contains(&effective) {
+                seen.push(effective);
+                out.push(cand);
             }
-            if layout != self.layout {
-                out.push(Candidate {
-                    layout,
-                    partition: None,
-                    balanced: false,
-                });
-            }
+        };
+        let mut layouts = vec![self.layout];
+        if !self.layout_pinned {
+            layouts.extend(
+                [Layout::TwoWordsPerRow, Layout::OneWordPerRow]
+                    .into_iter()
+                    .filter(|&l| l != self.layout),
+            );
+        }
+        for layout in layouts {
+            let is_default = layout == self.layout;
             let (_, rows) = Self::packing_of(layout, len);
             if rows <= self.device.rows_per_tile {
-                continue; // whole-vector under this layout: no partition axis
+                // Whole-vector under this layout: no partition axis.
+                let cand = Candidate {
+                    layout,
+                    ranges: None,
+                    balanced: false,
+                };
+                push(&mut out, cand);
+                continue;
             }
             let wpr = match layout {
                 Layout::TwoWordsPerRow => 2,
                 Layout::OneWordPerRow => 1,
             };
-            let mut default_ranges = Vec::new();
-            if self
-                .device
-                .partition_into(len, wpr, &mut default_ranges)
-                .is_err()
-            {
-                continue;
+            let mut greedy = Vec::new();
+            match self.device.partition_into(len, wpr, &mut greedy) {
+                Ok(()) => {}
+                Err(e) if is_default => return Err(CoreError::Ap(e)),
+                Err(_) => continue,
             }
             let cap = self.device.shard_capacity(wpr);
             let k_min = len.div_ceil(cap);
             let k_max = (k_min + BALANCED_SPREAD).min(self.device.tiles.max(1));
-            let mut balanced = Vec::new();
+            let mut candidates = vec![(greedy, false)];
             for k in k_min..=k_max {
+                let mut balanced = Vec::new();
                 if self
                     .device
                     .balanced_partition_into(len, wpr, k, &mut balanced)
-                    .is_err()
+                    .is_ok()
                 {
-                    continue;
+                    candidates.push((balanced, true));
                 }
-                if balanced == default_ranges {
-                    continue;
-                }
-                out.push(Candidate {
+            }
+            for (ranges, balanced) in candidates {
+                let cand = Candidate {
                     layout,
-                    partition: Some(Arc::new(balanced.clone())),
-                    balanced: true,
-                });
+                    ranges: Some(ranges),
+                    balanced,
+                };
+                push(&mut out, cand);
             }
         }
-        out
-    }
-
-    /// A throwaway mapping evaluating one candidate: autotuning off,
-    /// the candidate's layout and (optional) partition override, and a
-    /// fresh scratch cache so the search never pollutes — or thrashes —
-    /// the main cache.
-    fn candidate_view(&self, cand: &Candidate) -> ApSoftmax {
-        let mut view = self.clone();
-        view.autotune = false;
-        view.plan_mode = PlanMode::Cached;
-        view.layout = cand.layout;
-        view.partition_override = cand.partition.clone();
-        view.plans = Arc::new(crate::plan::PlanCache::new());
-        view
+        Ok(out)
     }
 }

@@ -36,8 +36,9 @@
 //!
 //! * **Sequential** execution is one chunk over all shards with no
 //!   barrier. It alone may issue directly ([`PlanMode::DirectIssue`])
-//!   or compile (record each shard shape's phase programs into a
-//!   [`ShardedPlan`]).
+//!   or compile (instantiate each shard length's phase programs from
+//!   their compile-class templates, cost them in the shard's one
+//!   execution, and collect them into a [`ShardedPlan`]).
 //! * **Fan-out** (serving workers with
 //!   [`crate::ServeConfig::shard_parallel`]) replays a cached plan as N
 //!   chunks on N host threads, which meet at the two reductions behind
@@ -64,12 +65,11 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use softmap_ap::program::{optimizer, ExecIo, ProgramScratch, Recorder};
-use softmap_ap::{batch, device, ApProgram, ApTile, CycleStats, Field, PassReport, RegId};
+use softmap_ap::program::{ExecIo, ProgramScratch, Recorder};
+use softmap_ap::{batch, device, ApCore, ApError, ApProgram, ApTile, CycleStats, RegId};
 
 use super::{
-    stage_halves, ApSoftmax, ApSoftmaxRun, FieldSet, HalfFields, Layout, PlanMode, StepStats,
-    TileState,
+    stage_halves, ApSoftmax, ApSoftmaxRun, FieldSet, Layout, PlanMode, StepStats, TileState,
 };
 use crate::plan::{CachedPlan, CompiledPlan, PlanPhase, ShardedPlan};
 use crate::CoreError;
@@ -189,10 +189,16 @@ pub(super) enum ShardExec<'a> {
     Direct,
     /// Replay the cached sharded plan's phase programs.
     Replay(&'a ShardedPlan),
-    /// Get-or-record each shard shape's phase program while executing,
-    /// collecting them per phase for the sharded plan under
-    /// construction.
-    Compile(&'a mut [Vec<Arc<CompiledPlan>>; 3]),
+    /// Compile each shard length's phase program while executing,
+    /// collecting them per shard and phase for the sharded plan under
+    /// construction. With `share`, phase programs are also looked up
+    /// in, and added to, the plan cache, so vectors whose shards have
+    /// the same lengths share them; the autotuner's candidates do not
+    /// share, so a search never churns the cache.
+    Compile {
+        plans: &'a mut [Vec<Arc<CompiledPlan>>; 3],
+        share: bool,
+    },
 }
 
 /// Replay pricing of one shard's phase program: full price (leaders),
@@ -241,9 +247,6 @@ struct IssuedPhase {
     /// The result register's value: shard minimum, partial sum, or
     /// the divisor input.
     result: u64,
-    /// Per half, the field holding the phase's input plane — what a
-    /// resident recost prestages.
-    inputs_at: [Field; 2],
     program: Option<(ApProgram, RegId)>,
 }
 
@@ -302,28 +305,50 @@ impl ApSoftmax {
                 let resident = self.resident_for(ranges.len());
                 let key = self.plan_key(codes.len(), PlanPhase::Vector, resident);
                 self.execute_cached(state, codes, run, key, threads, |state, run| {
-                    let started = std::time::Instant::now();
-                    let mut plans = Default::default();
-                    let exec = ShardExec::Compile(&mut plans);
-                    self.run_sharded(state, codes, run, &ranges, exec, resident, self.layout, 1)?;
-                    let plan = Arc::new(ShardedPlan {
-                        ranges: ranges.clone(),
-                        phase_plans: plans,
-                        steps: run.steps.clone(),
-                        total: run.total,
-                        reduction: run.reduction,
-                        latency_cycles: run.latency_cycles,
-                        waves: run.waves,
-                        rows: run.rows,
-                        cols_used: run.cols_used,
-                        compile_micros: started.elapsed().as_secs_f64() * 1e6,
-                        resident,
-                    });
-                    Ok((CachedPlan::Sharded(plan), true))
+                    let plan =
+                        self.compile_sharded(state, codes, run, &ranges, self.layout, true)?;
+                    Ok((CachedPlan::Sharded(Arc::new(plan)), true))
                 })
             });
         state.shard.ranges = ranges;
         result
+    }
+
+    /// Compiles the sharded plan of `codes` over `ranges`, staged under
+    /// `layout`, by executing the vector once sequentially — which
+    /// leaves its outcome in `run`. Residency follows the partition
+    /// ([`ApSoftmax::resident_for`]); `share` is
+    /// [`ShardExec::Compile`]'s.
+    pub(super) fn compile_sharded(
+        &self,
+        state: &mut TileState,
+        codes: &[i64],
+        run: &mut ApSoftmaxRun,
+        ranges: &[(usize, usize)],
+        layout: Layout,
+        share: bool,
+    ) -> Result<ShardedPlan, CoreError> {
+        let started = std::time::Instant::now();
+        let resident = self.resident_for(ranges.len());
+        let mut plans = Default::default();
+        let exec = ShardExec::Compile {
+            plans: &mut plans,
+            share,
+        };
+        self.run_sharded(state, codes, run, ranges, exec, resident, layout, 1)?;
+        Ok(ShardedPlan {
+            ranges: ranges.to_vec(),
+            phase_plans: plans,
+            steps: run.steps.clone(),
+            total: run.total,
+            reduction: run.reduction,
+            latency_cycles: run.latency_cycles,
+            waves: run.waves,
+            rows: run.rows,
+            cols_used: run.cols_used,
+            compile_micros: started.elapsed().as_secs_f64() * 1e6,
+            resident,
+        })
     }
 
     /// The sharded schedule over `ranges`: one chunk when `exec` issues
@@ -527,18 +552,16 @@ impl ApSoftmax {
             ..
         } = chunk;
         // Host staging: the min phase always packs the scores; the exp
-        // phase re-packs them unless a resident replay finds them in the
-        // pinned tile (compiling packs them too, to prestage its
-        // recost). The divide phase's inputs are the chunk's own
-        // `v_approx` slice.
-        let staged = !sched.resident || matches!(exec, ShardExec::Compile(_));
+        // phase re-packs them unless resident execution finds them in
+        // the pinned tile. The divide phase's inputs are the chunk's
+        // own `v_approx` slice.
         let (inputs, mut out): ([&[u64]; 2], Option<&mut Vec<u64>>) = match phase {
             PlanPhase::ShardDiv => {
                 let base = sched.ranges[cs].0;
                 let vap = &vapprox[start - base..end - base];
                 ([&vap[..rows], &vap[rows.min(vap.len())..]], Some(codes))
             }
-            _ if phase == PlanPhase::ShardMin || staged => {
+            _ if phase == PlanPhase::ShardMin || !sched.resident => {
                 stage_halves(&sched.codes[start..end], sched.layout, half0, half1);
                 let out = (phase == PlanPhase::ShardExp).then_some(vapprox);
                 ([half0.as_slice(), half1.as_slice()], out)
@@ -574,12 +597,13 @@ impl ApSoftmax {
     }
 
     /// Executes shard `i`'s phase-`k` program per `exec` — the one
-    /// per-shard dispatch. A compile-time cache hit (an earlier shard
-    /// or vector compiled this shard shape's phase program) is a replay
-    /// of the peeked plan; a miss records the phase, optimizes it, and
-    /// caches it. `inputs` hold one staged plane per half (empty when a
-    /// resident replay skipped staging). Returns the phase stats,
-    /// columns used, and result scalar.
+    /// per-shard dispatch. Compiling, a shard whose length an earlier
+    /// shard of this vector (or, with `share`, a cached plan) already
+    /// has replays that program; otherwise the phase's compile-class
+    /// template is instantiated at the shard's rows and costed by this
+    /// execution. `inputs` hold one staged plane per half (none when a
+    /// resident phase reads its planes from the pinned tile). Returns
+    /// the phase stats, columns used, and result scalar.
     #[allow(clippy::too_many_arguments)]
     fn shard_phase<'d>(
         &self,
@@ -597,98 +621,108 @@ impl ApSoftmax {
         steps: &mut Vec<StepStats>,
     ) -> Result<(CycleStats, usize, u64), CoreError> {
         let phase = SHARD_PHASES[k];
+        let halves = inputs.len();
         // Resident exp and divide phases read the planes the previous
-        // phase left in the pinned tile: no host inputs.
+        // phase left in the pinned tile.
         let rearm = resident && phase != PlanPhase::ShardMin;
-        let io_inputs = if rearm { &[][..] } else { inputs };
-        let peeked;
+        let len = ranges[i].1 - ranges[i].0;
+        let cached;
         let plan: &CompiledPlan = match exec {
             ShardExec::Direct => {
                 let issued = self.issue_shard_phase(
-                    phase,
-                    false,
-                    tile,
-                    scratch,
-                    inputs,
-                    inputs.len(),
-                    rows,
-                    scalars,
-                    outs,
-                    steps,
-                    false,
+                    phase, false, tile, scratch, inputs, halves, rows, scalars, outs, steps, false,
                 )?;
                 return Ok((issued.stats, issued.cols_used, issued.result));
             }
             ShardExec::Replay(plan) => &plan.phase_plans[k][i],
-            ShardExec::Compile(plans) => {
-                let key = self.plan_key(ranges[i].1 - ranges[i].0, phase, resident);
-                if let Some(CachedPlan::Program(p)) = self.plans.peek(&key) {
+            ShardExec::Compile { plans, share } => {
+                let key = self.plan_key(len, phase, resident);
+                let earlier = ranges[..i].iter().position(|&(s, e)| e - s == len);
+                let found = match earlier {
+                    Some(j) => Some(Arc::clone(&plans[k][j])),
+                    None if *share => match self.plans.peek(&key) {
+                        Some(CachedPlan::Program(p)) => Some(p),
+                        _ => None,
+                    },
+                    None => None,
+                };
+                if let Some(p) = found {
                     plans[k].push(Arc::clone(&p));
-                    peeked = p;
-                    &peeked
+                    cached = p;
+                    &cached
                 } else {
-                    let steps_snapshot = steps.clone();
-                    let out_mark = outs.first().map_or(0, |o| o.len());
                     let started = std::time::Instant::now();
-                    let issued = self.issue_shard_phase(
-                        phase,
-                        resident,
+                    let class = self.class_key(phase, halves, resident);
+                    let mut plan = self.instantiate_class(class, rows, || {
+                        // Recording executes the phase, so a phase that
+                        // reads planes left in the pinned tile records
+                        // on a copy: the tile keeps them for the
+                        // costing execution below.
+                        let mut copy;
+                        let rec_tile = if rearm {
+                            copy = tile.clone();
+                            &mut copy
+                        } else {
+                            &mut *tile
+                        };
+                        let mut sink = Vec::new();
+                        let mut sinks = [&mut sink];
+                        let issued = self.issue_shard_phase(
+                            phase,
+                            resident,
+                            rec_tile,
+                            scratch,
+                            inputs,
+                            halves,
+                            rows,
+                            scalars,
+                            &mut sinks[..outs.len()],
+                            &mut Vec::new(),
+                            true,
+                        )?;
+                        let (program, reg) = issued.program.expect("recording returns a program");
+                        Ok((program, reg, issued.cols_used))
+                    })?;
+                    let config = plan.program.config();
+                    let program = &mut plan.program;
+                    let stats = self.run_shard_phase(
+                        config,
                         tile,
                         scratch,
-                        io_inputs,
-                        inputs.len(),
-                        rows,
+                        inputs,
                         scalars,
                         outs,
                         steps,
-                        true,
+                        rearm,
+                        |ap, io, sc, f| program.replay_costed(ap, io, sc, f),
                     )?;
-                    let (mut program, reg) = issued.program.expect("recording returns a program");
-                    // A resident recost re-creates the pre-phase plane
-                    // state on a cleared tile by prestaging the planes
-                    // the previous phase left behind.
-                    let prestage: Vec<(Field, &[u64])> = if rearm {
-                        issued
-                            .inputs_at
-                            .into_iter()
-                            .zip(inputs.iter().copied())
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    let (report, stats, result) = self.optimize_phase(
-                        &mut program,
-                        reg,
-                        tile,
-                        scratch,
-                        io_inputs,
-                        scalars,
-                        outs,
-                        &[out_mark],
-                        &prestage,
-                        steps,
-                        steps_snapshot,
-                        issued.stats,
-                    )?;
-                    let micros = started.elapsed().as_secs_f64() * 1e6;
-                    let p = CompiledPlan::new(program, reg, rows, issued.cols_used, report, micros);
-                    let p = Arc::new(p);
-                    self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
+                    plan.compile_micros = started.elapsed().as_secs_f64() * 1e6;
+                    let (cols_used, result) = (plan.cols_used(), scratch.reg(plan.result_reg()));
+                    let p = Arc::new(plan);
+                    if *share {
+                        self.plans.insert(key, CachedPlan::Program(Arc::clone(&p)));
+                    }
                     plans[k].push(p);
-                    return Ok((stats, issued.cols_used, result));
+                    return Ok((stats, cols_used, result));
                 }
             }
         };
-        let stats = self.replay_shard_phase(
-            plan,
+        let program = plan.program();
+        let pricing = phase_replay(ranges, i, resident);
+        let stats = self.run_shard_phase(
+            program.config(),
             tile,
             scratch,
-            io_inputs,
+            inputs,
             scalars,
             outs,
             steps,
-            phase_replay(ranges, i, resident),
             rearm,
+            |ap, io, sc, f| match pricing {
+                PhaseReplay::Full => program.replay(ap, io, sc, f),
+                PhaseReplay::Hoisted => program.replay_resident(ap, io, sc, f),
+                PhaseReplay::Lockstep => program.replay_lockstep(ap, io, sc, f),
+            },
         )?;
         Ok((stats, plan.cols_used(), scratch.reg(plan.result_reg())))
     }
@@ -778,110 +812,48 @@ impl ApSoftmax {
             };
             program = rec.finish();
         }
-        let input_of = |h: &HalfFields| {
-            if phase == PlanPhase::ShardDiv {
-                h.vapprox
-            } else {
-                h.x
-            }
-        };
         Ok(IssuedPhase {
             stats: ap.stats(),
             cols_used: f.end,
             result: scratch.reg(result),
-            inputs_at: f.halves.each_ref().map(input_of),
             program: program.map(|p| (p, result)),
         })
     }
 
-    /// Replays one shard-phase program on a tile at `mode`'s pricing;
-    /// `rearm` keeps the tile's cells across the call (resident phases
-    /// re-arm their pinned tile instead of clearing it, so the previous
-    /// phase's output planes survive as this phase's inputs).
+    /// Executes one shard-phase program on a tile through `exec` (a
+    /// replay at the shard's pricing, or a fresh plan's costing replay)
+    /// and returns the tile's phase stats. `rearm` keeps the tile's
+    /// cells across the call (resident phases re-arm their pinned tile
+    /// instead of clearing it, so the previous phase's output planes
+    /// survive as this phase's inputs).
     #[allow(clippy::too_many_arguments)]
-    fn replay_shard_phase<'d>(
+    fn run_shard_phase<'d>(
         &self,
-        plan: &CompiledPlan,
+        config: softmap_ap::ApConfig,
         tile: &mut ApTile,
         scratch: &mut ProgramScratch,
         inputs: &[&'d [u64]],
         scalars: &[u64],
         outs: &mut [&'d mut Vec<u64>],
         steps: &mut Vec<StepStats>,
-        mode: PhaseReplay,
         rearm: bool,
+        exec: impl FnOnce(
+            &mut ApCore,
+            ExecIo<'_, '_>,
+            &mut ProgramScratch,
+            &mut dyn FnMut(&'static str, CycleStats),
+        ) -> Result<(), ApError>,
     ) -> Result<CycleStats, CoreError> {
-        let config = plan.program().config();
         let ap = if rearm {
             tile.rearm_resident(config, self.backend)?
         } else {
             tile.acquire(config, self.backend)?
         };
         let io = ExecIo::new(inputs, outs).with_scalars(scalars);
-        let on_step = |name: &'static str, stats: CycleStats| accumulate_step(steps, name, stats);
-        match mode {
-            PhaseReplay::Full => plan.program().replay(ap, io, scratch, on_step)?,
-            PhaseReplay::Hoisted => plan.program().replay_resident(ap, io, scratch, on_step)?,
-            PhaseReplay::Lockstep => plan.program().replay_lockstep(ap, io, scratch, on_step)?,
-        }
+        exec(ap, io, scratch, &mut |name, stats| {
+            accumulate_step(steps, name, stats);
+        })?;
         Ok(ap.stats())
-    }
-
-    /// Optimizes a freshly recorded shard-phase program. When the pass
-    /// pipeline changed the trace, the recording execution's outputs
-    /// and step deltas no longer describe it: they are rolled back (to
-    /// `out_marks` / `steps_snapshot`) and one recost execution of the
-    /// fused schedule replaces them, also re-anchoring the program's
-    /// static cost. A resident phase reads planes a previous phase left
-    /// in the tile; `prestage` re-creates that pre-phase state on the
-    /// recost's cleared tile by loading `(field, data)` pairs before
-    /// the run (and resetting the statistics, so the prestage loads —
-    /// which a resident replay never performs — are not charged). The
-    /// recost total still matches a resident replay exactly because
-    /// write costs are content-independent: charging a program on a
-    /// cleared-then-prestaged tile and on a re-armed tile with stale
-    /// scratch planes prices identically. Returns the pass report plus
-    /// the (possibly re-derived) phase stats and result scalar.
-    #[allow(clippy::too_many_arguments)]
-    fn optimize_phase<'d>(
-        &self,
-        program: &mut ApProgram,
-        reg: RegId,
-        tile: &mut ApTile,
-        scratch: &mut ProgramScratch,
-        inputs: &[&'d [u64]],
-        scalars: &[u64],
-        outs: &mut [&'d mut Vec<u64>],
-        out_marks: &[usize],
-        prestage: &[(Field, &[u64])],
-        steps: &mut Vec<StepStats>,
-        steps_snapshot: Vec<StepStats>,
-        stats: CycleStats,
-    ) -> Result<(PassReport, CycleStats, u64), CoreError> {
-        let report = optimizer::optimize(program, self.opt_level);
-        if !report.changed() {
-            self.apply_blocking(program);
-            return Ok((report, stats, scratch.reg(reg)));
-        }
-        *steps = steps_snapshot;
-        for (out, &mark) in outs.iter_mut().zip(out_marks) {
-            out.truncate(mark);
-        }
-        let ap = tile.acquire(program.config(), self.backend)?;
-        for &(field, data) in prestage {
-            ap.load(field, data)?;
-        }
-        if !prestage.is_empty() {
-            ap.reset_stats();
-        }
-        program.recost(
-            ap,
-            ExecIo::new(inputs, outs).with_scalars(scalars),
-            scratch,
-            |name, stats| accumulate_step(steps, name, stats),
-        )?;
-        self.apply_blocking(program);
-        Ok((report, ap.stats(), scratch.reg(reg)))
     }
 }
 

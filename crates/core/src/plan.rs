@@ -1,11 +1,24 @@
 //! Shape-keyed plan caching for the mapped dataflow.
 //!
-//! The Fig. 5 dataflow is static per shape: the op sequence depends
-//! only on `(vector length, layout, division style)` for a given
-//! precision configuration, never on the data. [`crate::ApSoftmax`]
-//! therefore *compiles* the dataflow once per shape into a
-//! [`softmap_ap::ApProgram`] and replays it for every further vector —
-//! this module is the cache those compiled plans live in.
+//! The Fig. 5 dataflow is static: for a given precision configuration
+//! its op sequence depends only on the *compile class* — whole vector
+//! or one shard phase, packing (one or two words per row), residency,
+//! division style and optimization level — never on the data. The
+//! vector length only sets the tile's rows and the reduction's segment
+//! (the AP's rows are its SIMD width, so the controller issues the same
+//! microcode at any row count). [`crate::ApSoftmax`] therefore keeps
+//! one optimized *template* program per compile class, and compiles a
+//! shape by instantiating its class's template at the shape's rows
+//! ([`softmap_ap::ApProgram::instantiate`]), planning its blocking, and
+//! costing it with one execution on the compile input. The compiled
+//! plan is cached per shape and replayed for every further vector —
+//! this module is the cache those templates and plans live in.
+//!
+//! Templates sit outside the LRU: their count is bounded by the class
+//! axes — at most fourteen per division style and optimization level
+//! (the whole vector at two packings; three shard phases at two
+//! packings and two residency modes) — not by how many shapes are
+//! served, and [`PlanCache::clear`] drops them with the plans.
 //!
 //! Three kinds of entries share the cache:
 //!
@@ -68,6 +81,25 @@ pub(crate) enum PlanPhase {
     ShardDiv,
 }
 
+/// The compile class a template program serves: every axis the
+/// dataflow's op sequence depends on except the row count (see the
+/// module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ClassKey {
+    /// The whole-vector dataflow ([`PlanPhase::Vector`]) or one shard
+    /// phase.
+    pub phase: PlanPhase,
+    /// Half-vectors per row: 2 when packed two words per row, else 1.
+    pub halves: usize,
+    /// Resident shard-phase field layout (always `false` for the whole
+    /// vector).
+    pub resident: bool,
+    /// Division microcode style.
+    pub div: DivStyle,
+    /// Optimization level.
+    pub opt: OptLevel,
+}
+
 /// The shape a compiled plan is valid for. The precision configuration
 /// is not part of the key because each `ApSoftmax` (and thus each
 /// cache) is built for exactly one configuration; builder methods that
@@ -106,12 +138,12 @@ pub(crate) struct PlanKey {
 /// [`crate::ApSoftmaxRun`] without re-deriving anything.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
-    program: ApProgram,
+    pub(crate) program: ApProgram,
     result_reg: RegId,
     rows: usize,
     cols_used: usize,
     report: PassReport,
-    compile_micros: f64,
+    pub(crate) compile_micros: f64,
 }
 
 impl CompiledPlan {
@@ -133,7 +165,19 @@ impl CompiledPlan {
         }
     }
 
-    /// The recorded program.
+    /// This plan's program instantiated at `rows` rows (see
+    /// [`ApProgram::instantiate`]): same result register, columns and
+    /// pass report, no costs and no blocking plan yet.
+    pub(crate) fn instantiate(&self, rows: usize) -> Self {
+        Self {
+            program: self.program.instantiate(rows),
+            rows,
+            compile_micros: 0.0,
+            ..*self
+        }
+    }
+
+    /// The compiled program.
     #[must_use]
     pub fn program(&self) -> &ApProgram {
         &self.program
@@ -166,8 +210,10 @@ impl CompiledPlan {
         self.report
     }
 
-    /// Wall-clock microseconds the compile (record + first execution)
-    /// took — the amortized cost replay saves.
+    /// Wall-clock microseconds the compile took: instantiating the
+    /// class template (recording and optimizing it first, when the
+    /// class had none), planning blocking, and the one costing
+    /// execution — the amortized cost replay saves.
     #[must_use]
     pub fn compile_micros(&self) -> f64 {
         self.compile_micros
@@ -518,6 +564,9 @@ pub struct PlanCache {
     capacity: usize,
     tick: AtomicU64,
     plans: Mutex<HashMap<PlanKey, Entry>>,
+    /// One optimized, unblocked template program per compile class,
+    /// outside the LRU.
+    templates: Mutex<HashMap<ClassKey, Arc<CompiledPlan>>>,
     /// Serializes compilations so concurrent workers missing the same
     /// shape produce one plan, not one each (the map lock itself is
     /// never held across a compile).
@@ -567,6 +616,7 @@ impl PlanCache {
             capacity: capacity.max(1),
             tick: AtomicU64::new(0),
             plans: Mutex::new(HashMap::new()),
+            templates: Mutex::new(HashMap::new()),
             compiling: Mutex::new(()),
             compiles: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -642,6 +692,18 @@ impl PlanCache {
         }
     }
 
+    /// The template program of compile class `key`, if built.
+    pub(crate) fn template(&self, key: &ClassKey) -> Option<Arc<CompiledPlan>> {
+        let map = self.templates.lock().expect("template store poisoned");
+        map.get(key).cloned()
+    }
+
+    /// Stores the template program of compile class `key`.
+    pub(crate) fn insert_template(&self, key: ClassKey, template: Arc<CompiledPlan>) {
+        let mut map = self.templates.lock().expect("template store poisoned");
+        map.insert(key, template);
+    }
+
     /// Counts a lock-free tile-slot hit.
     pub(crate) fn note_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -668,11 +730,16 @@ impl PlanCache {
         }
     }
 
-    /// Drops every cached plan and advances the epoch so tile slots
-    /// warmed before the clear re-resolve. Counters are kept.
+    /// Drops every cached plan and every compile-class template, and
+    /// advances the epoch so tile slots warmed before the clear
+    /// re-resolve. Counters are kept.
     pub fn clear(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
         self.plans.lock().expect("plan cache poisoned").clear();
+        self.templates
+            .lock()
+            .expect("template store poisoned")
+            .clear();
     }
 
     /// Number of currently cached entries compiled for resident

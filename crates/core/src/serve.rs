@@ -68,6 +68,7 @@ use std::thread::JoinHandle;
 
 use softmap_ap::batch;
 use softmap_ap::device::TileClocks;
+use softmap_softmax::IntSoftmax;
 
 use crate::{ApSoftmax, ApSoftmaxRun, CacheStats, CoreError, TileState};
 
@@ -487,9 +488,11 @@ impl SoftmaxServer {
     ///
     /// # Errors
     ///
-    /// [`CoreError::EmptyInput`] for an empty slice, a shard-partition
-    /// error for lengths the device cannot hold, or
-    /// [`CoreError::BadWorkload`] after shutdown.
+    /// [`CoreError::EmptyInput`] for an empty slice,
+    /// [`CoreError::Softmax`] with [`softmap_softmax::SoftmaxError::NonFinite`]
+    /// for a NaN or `+inf` score, a shard-partition error for lengths
+    /// the device cannot hold, or [`CoreError::BadWorkload`] after
+    /// shutdown.
     pub fn submit(&self, scores: &[f64]) -> Result<Ticket, CoreError> {
         self.submit_inner(scores, true)
     }
@@ -508,6 +511,8 @@ impl SoftmaxServer {
         if scores.is_empty() {
             return Err(CoreError::EmptyInput);
         }
+        // The input domain is checked before a slot is taken.
+        IntSoftmax::finite_max(scores)?;
         let shared = &self.shared;
         let mut q = shared.state.lock().expect("serving queue poisoned");
         if q.shutdown {

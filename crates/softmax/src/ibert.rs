@@ -104,7 +104,7 @@ impl IntSoftmax {
 
     /// Quantizes real scores: stabilize (subtract max), clip to
     /// `[TC, 0]`, and round to signed `M`-bit codes in
-    /// `[-2^(M-1), 0]`.
+    /// `[-2^(M-1), 0]`. Unchecked: see [`IntSoftmax::quantize_into`].
     #[must_use]
     pub fn quantize(&self, v: &[f64]) -> Vec<i64> {
         let mut out = Vec::with_capacity(v.len());
@@ -113,10 +113,66 @@ impl IntSoftmax {
     }
 
     /// Allocation-free [`IntSoftmax::quantize`]: writes the codes into
-    /// `out` (cleared first), reusing its capacity — the pooled
-    /// execution path's entry point.
+    /// `out` (cleared first), reusing its capacity. It does **not**
+    /// check the input domain — a NaN score is skipped by the max and
+    /// rounds to code 0 — so it is for scores already known to be
+    /// finite; every float entry point of the stack goes through
+    /// [`IntSoftmax::try_quantize_into`] instead.
     pub fn quantize_into(&self, v: &[f64], out: &mut Vec<i64>) {
         let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        self.quantize_below(v, max, out);
+    }
+
+    /// [`IntSoftmax::quantize_into`] over the defined input domain:
+    /// NaN and `+inf` scores are rejected, `-inf` quantizes to the
+    /// minimum code (probability 0 unless every score is `-inf`, which
+    /// quantizes like equal scores). The domain check rides on the
+    /// max pass ([`IntSoftmax::finite_max`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SoftmaxError::NonFinite`] naming the first NaN or `+inf`
+    /// score; `out` is then left cleared.
+    pub fn try_quantize_into(&self, v: &[f64], out: &mut Vec<i64>) -> Result<(), SoftmaxError> {
+        match Self::finite_max(v) {
+            Ok(max) => {
+                self.quantize_below(v, max, out);
+                Ok(())
+            }
+            Err(e) => {
+                out.clear();
+                Err(e)
+            }
+        }
+    }
+
+    /// The maximum score, or [`SoftmaxError::NonFinite`] naming the
+    /// first NaN or `+inf` score — the quantizer's max pass with the
+    /// input-domain check folded in (`NEG_INFINITY` for an empty
+    /// slice).
+    ///
+    /// # Errors
+    ///
+    /// [`SoftmaxError::NonFinite`] as above.
+    pub fn finite_max(v: &[f64]) -> Result<f64, SoftmaxError> {
+        // `f64::max` skips NaN, so a +inf shows in the maximum itself
+        // and NaN needs a sweep of its own. Both folds are branch-free
+        // and vectorize; one loop doing both does not (about 7x slower
+        // on 2048 scores).
+        let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let nan = v.iter().fold(false, |seen, x| seen | x.is_nan());
+        if max < f64::INFINITY && !nan {
+            return Ok(max);
+        }
+        let index = v
+            .iter()
+            .position(|&x| x.is_nan() || x == f64::INFINITY)
+            .expect("a score failed the check");
+        Err(SoftmaxError::NonFinite { index })
+    }
+
+    /// Quantizes `v` against its maximum `max`.
+    fn quantize_below(&self, v: &[f64], max: f64, out: &mut Vec<i64>) {
         let s = self.cfg.scale();
         let lo = -self.cfg.max_code_magnitude();
         out.clear();
@@ -142,12 +198,16 @@ impl IntSoftmax {
     ///
     /// # Errors
     ///
-    /// As [`IntSoftmax::run_codes`].
+    /// [`SoftmaxError::NonFinite`] for a NaN or `+inf` score (see
+    /// [`IntSoftmax::try_quantize_into`]); otherwise as
+    /// [`IntSoftmax::run_codes`].
     pub fn run_floats(&self, v: &[f64]) -> Result<IntSoftmaxOutput, SoftmaxError> {
         if v.is_empty() {
             return Err(SoftmaxError::EmptyInput);
         }
-        self.run_codes(&self.quantize(v))
+        let mut codes = Vec::with_capacity(v.len());
+        self.try_quantize_into(v, &mut codes)?;
+        self.run_codes(&codes)
     }
 
     /// Runs the pipeline over a batch of score rows, fanned out across

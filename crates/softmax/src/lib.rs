@@ -59,6 +59,13 @@ pub enum SoftmaxError {
     EmptyInput,
     /// An input code is out of the quantizer's range.
     CodeOutOfRange(i64),
+    /// A real-valued score is NaN or `+inf` (at this index): the
+    /// softmax of such a vector is undefined. `-inf` is a valid score
+    /// (probability 0).
+    NonFinite {
+        /// Index of the first offending score.
+        index: usize,
+    },
 }
 
 impl core::fmt::Display for SoftmaxError {
@@ -67,6 +74,7 @@ impl core::fmt::Display for SoftmaxError {
             Self::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
             Self::EmptyInput => write!(f, "input vector is empty"),
             Self::CodeOutOfRange(c) => write!(f, "quantized code {c} out of range"),
+            Self::NonFinite { index } => write!(f, "score {index} is NaN or +inf"),
         }
     }
 }

@@ -61,11 +61,14 @@
 # Measurement methodology: the vendored harness sizes each series by a
 # wall-clock budget scaled by `sample_size(n)` (n% of
 # CRITERION_MEASURE_MS). The pooled plan-cache series backing
-# plan_replay_gain_* / plan_compile_us_* are consumed as RATIOS of each
-# other, so backend_compare runs them at a 4x budget (sample_size 40) —
-# a single scheduler preemption inside one short window previously
-# skewed the recorded plan_replay_gain_rows1024 to 0.53 (replay cannot
-# be ~2x slower than direct issue of the same schedule).
+# plan_replay_gain_* are consumed as RATIOS of each other, so
+# backend_compare runs them at a 4x budget (sample_size 40) — a single
+# scheduler preemption inside one short window previously skewed the
+# recorded plan_replay_gain_rows1024 to 0.53 (replay cannot be ~2x
+# slower than direct issue of the same schedule). plan_compile_us_* and
+# plan_compile_cold_us_* are not derived from series: backend_compare
+# records the median compile_micros() of 21 fresh compiles directly
+# (compile-us/{warm,cold}/<rows>).
 #
 # Environment:
 #   CRITERION_MEASURE_MS  per-benchmark wall-clock budget (default 500)
@@ -149,7 +152,8 @@ for key, label in [("512", "rows256"), ("1024", "rows512"),
     reused = by_name.get(f"backend/fastword-reused/{rows}")
     replayed = by_name.get(f"backend/fastword-replayed/{rows}")
     optimized = by_name.get(f"backend/fastword-optimized/{rows}")
-    compile_ = by_name.get(f"backend/fastword-compile/{rows}")
+    compile_cold = by_name.get(f"compile-us/cold/{rows}")
+    compile_warm = by_name.get(f"compile-us/warm/{rows}")
     cyc_unopt = by_name.get(f"cycles/fastword/{rows}")
     cyc_opt = by_name.get(f"cycles/fastword-optimized/{rows}")
     if micro and fast:
@@ -160,10 +164,15 @@ for key, label in [("512", "rows256"), ("1024", "rows512"),
         speedups[f"tile_reuse_gain_{label}"] = round(fast / reused, 2)
     if reused and replayed:
         speedups[f"plan_replay_gain_{label}"] = round(reused / replayed, 2)
-    if compile_ and replayed:
-        # Compile amortization: what one record+execute costs beyond a
-        # replay of the cached plan, in microseconds.
-        plan[f"plan_compile_us_{label}"] = round(max(compile_ - replayed, 0.0) / 1e3, 1)
+    if compile_cold and compile_warm:
+        # Compile cost, measured directly (not as a difference of two
+        # noisy means): the median compile_micros() of fresh compiles
+        # at the production configuration (autotune on, OptLevel::Full,
+        # blocked), with the compile-class templates present (warm:
+        # instantiate + cost, the steady state of first-sight shapes)
+        # or cleared (cold: each class records and optimizes first).
+        plan[f"plan_compile_us_{label}"] = round(compile_warm / 1e3, 1)
+        plan[f"plan_compile_cold_us_{label}"] = round(compile_cold / 1e3, 1)
     if cyc_unopt and cyc_opt:
         # Simulated-cycle ratio: unoptimized replay / fused schedule at
         # the same shape. Host-invariant (static == simulated).

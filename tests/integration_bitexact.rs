@@ -105,3 +105,58 @@ fn quantizer_agrees_between_crates() {
         assert_eq!(via_softmax, via_quant, "x = {x}");
     }
 }
+
+#[test]
+fn scalar_spec_and_ap_path_reject_the_same_non_finite_scores() {
+    use softmap::{ApMappedSoftmax, CoreError, ServeConfig, SoftmaxServer};
+    use softmap_llm::softmax_impls::{IntApproxSoftmax, SoftmaxFn};
+    use softmap_softmax::SoftmaxError;
+
+    let cfg = PrecisionConfig::paper_best();
+    let scalar = IntSoftmax::new(cfg).unwrap();
+    let mapping = ApSoftmax::new(cfg).unwrap();
+    let server = SoftmaxServer::new(mapping.clone(), ServeConfig::default()).unwrap();
+    let bridge = ApMappedSoftmax::with_mapping(mapping.clone());
+    let scalar_f32 = IntApproxSoftmax::new(cfg).unwrap();
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let cases: [(&[f64], Option<usize>); 9] = [
+        (&[nan, 0.0], Some(0)),
+        (&[0.0, nan], Some(1)),
+        (&[0.0, -1.0, inf], Some(2)),
+        (&[inf, nan], Some(0)),
+        (&[-1.0, nan, -2.0, inf], Some(1)),
+        // -inf is a valid score: probability 0 ...
+        (&[f64::NEG_INFINITY, 0.0, -1.0], None),
+        // ... and an all -inf row quantizes like equal scores.
+        (&[f64::NEG_INFINITY; 4], None),
+        (&[f64::MAX, f64::MIN, 0.0], None),
+        (&[-0.0, 0.0, -1e-300], None),
+    ];
+    for (scores, bad) in cases {
+        let spec = scalar.run_floats(scores);
+        let ap = mapping.execute_floats(scores);
+        let served = server.submit(scores).and_then(|t| t.wait());
+        let row: Vec<f32> = scores.iter().map(|&s| s as f32).collect();
+        match bad {
+            Some(index) => {
+                let want = SoftmaxError::NonFinite { index };
+                assert_eq!(spec.unwrap_err(), want, "{scores:?}");
+                assert_eq!(ap.unwrap_err(), CoreError::Softmax(want.clone()));
+                assert_eq!(served.unwrap_err(), CoreError::Softmax(want));
+                assert!(bridge.apply(&row).is_err(), "{scores:?}");
+                assert!(scalar_f32.apply(&row).is_err(), "{scores:?}");
+            }
+            None => {
+                let codes = spec.unwrap().codes;
+                assert_eq!(ap.unwrap().codes, codes, "{scores:?}");
+                assert_eq!(served.unwrap().codes, codes, "{scores:?}");
+                // (f64::MAX narrows to f32 +inf: both reject that row.)
+                let (b, f) = (bridge.apply(&row), scalar_f32.apply(&row));
+                assert_eq!(b.ok(), f.ok(), "{scores:?}");
+            }
+        }
+    }
+    // A rejected submission takes no slot: the server still serves.
+    let ok = server.submit(&[0.0, -1.0]).unwrap().wait().unwrap();
+    assert_eq!(ok.codes, scalar.run_floats(&[0.0, -1.0]).unwrap().codes);
+}
